@@ -1,0 +1,153 @@
+//! Offline stand-in for the `parking_lot` crate, used only by the staged
+//! `rustc` build (`build_staged.sh`) when no cargo registry is reachable.
+//!
+//! It wraps `std::sync` primitives behind the slice of parking_lot's API
+//! this workspace uses: non-poisoning `lock()`/`read()`/`write()` that
+//! return guards directly, `Condvar::wait(&mut guard)`, and
+//! `wait_until`/`wait_for` returning a `WaitTimeoutResult`. Lock cost is
+//! std's, not parking_lot's, so numbers from a `staged` build compare only
+//! with other `staged` builds.
+
+use std::ops::{Deref, DerefMut};
+use std::sync::PoisonError;
+use std::time::{Duration, Instant};
+
+/// Non-poisoning mutex: a panic while holding the lock does not wedge later
+/// lockers (parking_lot semantics).
+#[derive(Debug, Default)]
+pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
+
+/// Guard returned by [`Mutex::lock`]. The inner guard is `Some` except
+/// while a [`Condvar`] wait has temporarily taken it.
+pub struct MutexGuard<'a, T: ?Sized>(Option<std::sync::MutexGuard<'a, T>>);
+
+impl<T> Mutex<T> {
+    pub const fn new(value: T) -> Self {
+        Mutex(std::sync::Mutex::new(value))
+    }
+
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: ?Sized> Mutex<T> {
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
+    }
+
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(g) => Some(MutexGuard(Some(g))),
+            Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
+
+    pub fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: ?Sized> Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.0
+            .as_ref()
+            .expect("guard taken only during a condvar wait")
+    }
+}
+
+impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.0
+            .as_mut()
+            .expect("guard taken only during a condvar wait")
+    }
+}
+
+/// Whether a timed wait ended by timeout.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WaitTimeoutResult(bool);
+
+impl WaitTimeoutResult {
+    pub fn timed_out(&self) -> bool {
+        self.0
+    }
+}
+
+#[derive(Debug, Default)]
+pub struct Condvar(std::sync::Condvar);
+
+impl Condvar {
+    pub const fn new() -> Self {
+        Condvar(std::sync::Condvar::new())
+    }
+
+    pub fn notify_one(&self) -> bool {
+        self.0.notify_one();
+        true
+    }
+
+    pub fn notify_all(&self) -> usize {
+        self.0.notify_all();
+        0
+    }
+
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        let inner = guard.0.take().expect("guard present outside a wait");
+        guard.0 = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
+    }
+
+    pub fn wait_for<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        timeout: Duration,
+    ) -> WaitTimeoutResult {
+        let inner = guard.0.take().expect("guard present outside a wait");
+        let (inner, res) = self
+            .0
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.0 = Some(inner);
+        WaitTimeoutResult(res.timed_out())
+    }
+
+    pub fn wait_until<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        deadline: Instant,
+    ) -> WaitTimeoutResult {
+        self.wait_for(guard, deadline.saturating_duration_since(Instant::now()))
+    }
+}
+
+#[derive(Debug, Default)]
+pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
+
+pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
+pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
+
+impl<T> RwLock<T> {
+    pub const fn new(value: T) -> Self {
+        RwLock(std::sync::RwLock::new(value))
+    }
+
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<T: ?Sized> RwLock<T> {
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub fn get_mut(&mut self) -> &mut T {
+        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+}
