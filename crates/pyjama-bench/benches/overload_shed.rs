@@ -54,7 +54,7 @@ fn start_server(plane: &ControlPlane) -> HttpServer {
     let target = rt.virtual_target_create_worker("worker", WORKERS);
     plane.attach_worker_target(&target);
     HttpServer::start_controlled(
-        ServingPolicy::PyjamaVirtualTarget {
+        ServingPolicy::Reactor {
             runtime: rt,
             target: "worker".into(),
         },

@@ -1,7 +1,7 @@
 //! **C10K** — the reactor's connection-ceiling benchmark: a Fig-9-style
 //! run at 10,000 virtual users (each holding one keep-alive connection),
 //! which no thread-per-connection policy can attempt, plus a head-to-head
-//! throughput gate against the Pyjama keep-alive pipeline at 4 workers.
+//! throughput gate against the Jetty keep-alive baseline at 4 workers.
 //!
 //! Phase A holds `conns` keep-alive connections (default 10,000; ~1,000
 //! under `PJ_BENCH_QUICK=1`) open against a 4-worker reactor server and
@@ -15,9 +15,10 @@
 //! `setrlimit` raises cap a single process well below 2×10k fds.
 //!
 //! Phase B is the regression gate: `run_http_benchmark` at the paper's
-//! 100-user scale, Pyjama vs Reactor, asserting the reactor's req/s is not
-//! worse than the Pyjama keep-alive pipeline (within a 10% noise floor,
-//! best of two attempts — this is a 1-CPU CI box).
+//! 100-user scale, Jetty vs the reactor-served Pyjama flavor, asserting the
+//! reactor's req/s is not worse than the paper's Jetty keep-alive baseline
+//! (within a 10% noise floor, best of two attempts — single cells on a
+//! small CI machine are noisy).
 //!
 //! Run: `cargo run --release -p pyjama-bench --bin c10k`
 
@@ -264,7 +265,7 @@ fn main() {
         stats.evicted_idle
     );
 
-    // --- Phase B: throughput gate vs the Pyjama keep-alive pipeline ------
+    // --- Phase B: throughput gate vs the Jetty keep-alive baseline -------
     let (users, reqs) = if quick { (20, 3) } else { (100, 5) };
     let config = HttpBenchConfig {
         users,
@@ -276,25 +277,25 @@ fn main() {
         io_ms: 10,
         keepalive: true,
     };
-    println!("\ngate: pyjama vs reactor at {WORKERS} workers, {users} users × {reqs} requests");
+    println!("\ngate: jetty vs reactor at {WORKERS} workers, {users} users × {reqs} requests");
     let mut ratio = 0.0;
     let mut gate = (0.0, 0.0);
-    // Best of two attempts: single cells on a 1-CPU box are noisy.
+    // Best of two attempts: single cells on a small machine are noisy.
     for attempt in 0..2 {
-        let pyjama = run_http_benchmark(ServerFlavor::Pyjama, &config);
-        let reactor = run_http_benchmark(ServerFlavor::Reactor, &config);
-        assert_eq!(pyjama.failed, 0, "pyjama gate cell had failures");
+        let jetty = run_http_benchmark(ServerFlavor::Jetty, &config);
+        let reactor = run_http_benchmark(ServerFlavor::Pyjama, &config);
+        assert_eq!(jetty.failed, 0, "jetty gate cell had failures");
         assert_eq!(reactor.failed, 0, "reactor gate cell had failures");
-        let r = reactor.throughput / pyjama.throughput.max(1e-9);
+        let r = reactor.throughput / jetty.throughput.max(1e-9);
         println!(
-            "attempt {}: pyjama {:.1} req/s, reactor {:.1} req/s (ratio {r:.2})",
+            "attempt {}: jetty {:.1} req/s, reactor {:.1} req/s (ratio {r:.2})",
             attempt + 1,
-            pyjama.throughput,
+            jetty.throughput,
             reactor.throughput
         );
         if r > ratio {
             ratio = r;
-            gate = (pyjama.throughput, reactor.throughput);
+            gate = (jetty.throughput, reactor.throughput);
         }
         if ratio >= 0.9 {
             break;
@@ -302,7 +303,7 @@ fn main() {
     }
     assert!(
         ratio >= 0.9,
-        "reactor req/s ({:.1}) worse than pyjama keep-alive ({:.1}) at {WORKERS} workers",
+        "reactor req/s ({:.1}) worse than jetty keep-alive ({:.1}) at {WORKERS} workers",
         gate.1,
         gate.0
     );
@@ -322,7 +323,7 @@ fn main() {
         "rearms_write",
         "spurious_ready",
         "evicted_idle",
-        "gate_pyjama_rps",
+        "gate_jetty_rps",
         "gate_reactor_rps",
         "failed",
     ]);

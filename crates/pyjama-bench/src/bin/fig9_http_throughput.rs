@@ -32,13 +32,11 @@ fn main() {
     let (users, reqs) = if quick { (10, 3) } else { (100, 5) };
     let omp_width = 4;
 
-    let variants: [(&str, ServerFlavor, Option<usize>); 6] = [
+    let variants: [(&str, ServerFlavor, Option<usize>); 4] = [
         ("jetty", ServerFlavor::Jetty, None),
         ("pyjama", ServerFlavor::Pyjama, None),
-        ("reactor", ServerFlavor::Reactor, None),
         ("jetty+parallel", ServerFlavor::Jetty, Some(omp_width)),
         ("pyjama+parallel", ServerFlavor::Pyjama, Some(omp_width)),
-        ("reactor+parallel", ServerFlavor::Reactor, Some(omp_width)),
     ];
 
     println!(
@@ -116,8 +114,8 @@ fn main() {
          the machine — the paper's thread-scheduling-overhead plateau. The CSV's\n\
          keepalive=false rows are the connection-per-request baseline; keepalive=true\n\
          amortises TCP setup and the codec's buffers across each user's requests.\n\
-         The reactor rows should track pyjama keep-alive at this (100-user) scale —\n\
-         its win is the connection ceiling, measured separately by the c10k bin."
+         The pyjama rows are served by the readiness reactor; its win over jetty is\n\
+         the connection ceiling, measured separately by the c10k bin."
     );
     pyjama_bench::finish_trace(trace_path.as_deref());
 }

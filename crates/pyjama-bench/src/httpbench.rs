@@ -20,11 +20,9 @@ use pyjama_runtime::Runtime;
 pub enum ServerFlavor {
     /// Jetty-style fixed-pool thread-per-request.
     Jetty,
-    /// Pyjama acceptor + `target virtual(worker) nowait` offload.
+    /// `target virtual(worker) nowait` offload, posted by the readiness
+    /// reactor on kernel readiness (`ServingPolicy::Reactor`).
     Pyjama,
-    /// Readiness-driven epoll reactor posting serving regions on kernel
-    /// readiness (`ServingPolicy::Reactor`).
-    Reactor,
 }
 
 impl ServerFlavor {
@@ -33,7 +31,6 @@ impl ServerFlavor {
         match self {
             ServerFlavor::Jetty => "jetty",
             ServerFlavor::Pyjama => "pyjama",
-            ServerFlavor::Reactor => "reactor",
         }
     }
 }
@@ -170,19 +167,6 @@ pub fn run_http_benchmark(flavor: ServerFlavor, config: &HttpBenchConfig) -> Htt
             let rt = Arc::new(Runtime::new());
             rt.virtual_target_create_worker("worker", config.worker_threads);
             HttpServer::start_with(
-                ServingPolicy::PyjamaVirtualTarget {
-                    runtime: rt,
-                    target: "worker".into(),
-                },
-                opts,
-                encryption_handler(config),
-            )
-            .expect("start pyjama server")
-        }
-        ServerFlavor::Reactor => {
-            let rt = Arc::new(Runtime::new());
-            rt.virtual_target_create_worker("worker", config.worker_threads);
-            HttpServer::start_with(
                 ServingPolicy::Reactor {
                     runtime: rt,
                     target: "worker".into(),
@@ -190,7 +174,7 @@ pub fn run_http_benchmark(flavor: ServerFlavor, config: &HttpBenchConfig) -> Htt
                 opts,
                 encryption_handler(config),
             )
-            .expect("start reactor server")
+            .expect("start pyjama server")
         }
     };
 
@@ -252,11 +236,7 @@ mod tests {
     #[test]
     fn both_flavors_serve_all_requests() {
         let _g = cell_lock();
-        for flavor in [
-            ServerFlavor::Jetty,
-            ServerFlavor::Pyjama,
-            ServerFlavor::Reactor,
-        ] {
+        for flavor in [ServerFlavor::Jetty, ServerFlavor::Pyjama] {
             let r = run_http_benchmark(flavor, &tiny(2, None));
             assert_eq!(r.failed, 0, "{flavor:?}");
             assert!(r.throughput > 0.0, "{flavor:?}");
@@ -306,6 +286,5 @@ mod tests {
     fn flavor_names() {
         assert_eq!(ServerFlavor::Jetty.name(), "jetty");
         assert_eq!(ServerFlavor::Pyjama.name(), "pyjama");
-        assert_eq!(ServerFlavor::Reactor.name(), "reactor");
     }
 }

@@ -35,8 +35,8 @@ pub(crate) struct ConnState {
     out: Vec<u8>,
     /// Requests fully served (written) on this connection.
     pub(crate) served: u32,
-    /// Causal trace id minted at accept; every region in the connection's
-    /// re-arm chain continues this flow.
+    /// Causal trace id minted at accept; the region serving the connection
+    /// continues this flow.
     pub(crate) trace: TraceId,
     /// Effective per-session options captured at accept. A live
     /// reconfiguration changes *new* sessions; this one keeps the limits it
@@ -175,7 +175,7 @@ pub(crate) enum NextRequest {
 /// Blocks (in short slices, so `stop` stays responsive) until request bytes
 /// are available on `conn`, the peer closes, `deadline` passes, or `stop`
 /// is raised. Used by the pool-thread (Jetty-style) session loop; the
-/// Pyjama policy parks idle connections on the shared poller instead.
+/// Reactor policy hands idle connections to the epoll reactor instead.
 pub(crate) fn wait_readable(
     conn: &mut ConnState,
     deadline: Instant,

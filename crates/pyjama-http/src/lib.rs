@@ -11,13 +11,12 @@
 //!   and serialisation buffers; `Content-Length` bodies, 8 MiB cap).
 //! * [`server`] — a TCP server over loopback with persistent (keep-alive,
 //!   pipelining-capable) connections, a sharded accept path, and pluggable
-//!   [`ServingPolicy`]: [`ServingPolicy::JettyPool`] (thread-pinned
-//!   sessions), [`ServingPolicy::PyjamaVirtualTarget`] (each connection
-//!   re-arms itself as a chain of `nowait` target regions; idle sockets
-//!   park on a poller instead of pinning a worker) or
-//!   [`ServingPolicy::Reactor`] (an epoll reactor owns every socket
-//!   non-blocking and kernel readiness posts the serving regions — tens of
-//!   thousands of keep-alive connections on a bounded pool).
+//!   [`ServingPolicy`]: [`ServingPolicy::JettyPool`] (the paper's
+//!   baseline: thread-pinned sessions) or [`ServingPolicy::Reactor`] (the
+//!   Pyjama policy: an epoll reactor owns every socket non-blocking and
+//!   kernel readiness posts each request's `target virtual(worker) nowait`
+//!   serving region — tens of thousands of keep-alive connections on a
+//!   bounded pool).
 //! * [`client`] — a blocking client, the persistent-connection
 //!   [`ClientConn`], and the closed-loop [`LoadGenerator`]: "100 virtual
 //!   users, with each user sending a constant number of requests",
@@ -34,7 +33,6 @@
 pub mod admin;
 pub mod client;
 pub(crate) mod conn;
-pub(crate) mod idle;
 pub mod message;
 pub(crate) mod reactor;
 pub mod server;

@@ -4,12 +4,11 @@
 //!
 //! [`ServingPolicy::Reactor`]: crate::server::ServingPolicy::Reactor
 //!
-//! The thread-pinned policies top out at "one blocked thread (Jetty) or one
-//! parked-but-polled socket (Pyjama idle parker) per connection with the
-//! *acceptor* still reading first requests synchronously". This module
-//! removes the last blocking read from the pipeline: every accepted socket
-//! goes non-blocking and is registered with epoll once, for life (elsewhere
-//! the reactor sweeps the registrations with non-blocking peeks). When the
+//! A thread-pinned policy tops out at one blocked thread per connection
+//! (Jetty). This module takes every blocking read out of the pipeline,
+//! acceptors included: every accepted socket goes non-blocking and is
+//! registered with epoll once, for life (elsewhere the reactor sweeps the
+//! registrations with non-blocking peeks). When the
 //! kernel reports readiness, the reactor *transfers ownership* of the
 //! connection to the worker pool, and a bounded pool serves however many
 //! thousand connections are currently readable — C10K on a handful of
@@ -527,7 +526,7 @@ pub fn nofile_limit_at_least(want: u64) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// Raw epoll + rlimit FFI, declared here to keep the crate std-only (no
-/// libc dependency), mirroring `idle.rs`'s `poll(2)` declaration.
+/// libc dependency).
 #[cfg(target_os = "linux")]
 mod sys {
     use std::os::raw::c_int;

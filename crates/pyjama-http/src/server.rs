@@ -8,23 +8,16 @@
 //!   looping read → handle → write until the client closes, goes idle past
 //!   the timeout, or the per-connection request cap is hit (thread-pinned
 //!   sessions, as a thread-per-request pool does keep-alive).
-//! * **PyjamaVirtualTarget** — no thread ever owns an idle connection. The
-//!   acceptor reads only the *first* request and posts the handler to the
-//!   virtual target with `nowait`; each completed handler *re-arms* the
-//!   connection by posting a fresh "serve the next request" region (when
-//!   the next request is already pipelined) or parking the socket on the
-//!   shared idle poller (when it is not). A persistent connection is thus a
-//!   chain of `nowait` target regions — the paper's event-handler offload
-//!   pattern applied to connection lifetime — and a worker thread only ever
-//!   touches a socket with request bytes waiting.
-//! * **Reactor** — the fully readiness-driven pipeline. Acceptors only
-//!   accept: every socket goes non-blocking into the epoll reactor
-//!   ([`crate::reactor`]), and a kernel readiness event posts a serving
-//!   region to the virtual target. Request parsing is *resumable* (a
-//!   half-received request re-arms read interest and a later region resumes
-//!   at the exact byte), response writes re-arm on `EPOLLOUT` when the
-//!   socket buffer fills, and no thread anywhere blocks on connection I/O —
-//!   tens of thousands of keep-alive connections on a bounded pool.
+//! * **Reactor** — the Pyjama policy: the paper's
+//!   `target virtual(worker) nowait` handler offload, driven by readiness.
+//!   Acceptors only accept: every socket goes non-blocking into the epoll
+//!   reactor ([`crate::reactor`]), and a kernel readiness event posts a
+//!   serving region to the virtual target, so no thread ever owns an idle
+//!   connection. Request parsing is *resumable* (a half-received request
+//!   re-arms read interest and a later region resumes at the exact byte),
+//!   response writes re-arm on `EPOLLOUT` when the socket buffer fills, and
+//!   no thread anywhere blocks on connection I/O — tens of thousands of
+//!   keep-alive connections on a bounded pool.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +31,6 @@ use pyjama_runtime::{Runtime, TargetRegion, VirtualTarget, WorkerTarget};
 use pyjama_trace::{arg as trace_arg, Stage, TraceId};
 
 use crate::conn::{wait_readable, ConnState, NextRequest};
-use crate::idle::{IdleParker, ParkerShared};
 use crate::message::{ParseStatus, ReadError, Request, Response, Status};
 use crate::reactor::{Interest, Reactor, ReactorConn, ReactorShared, Reg, RegKind};
 
@@ -57,17 +49,10 @@ pub enum ServingPolicy {
     },
     /// Pyjama-style: handlers are offloaded to the named virtual target
     /// with `nowait` — `//#omp target virtual(worker) nowait` around the
-    /// handler body — and connections re-arm themselves between requests.
-    PyjamaVirtualTarget {
-        /// The runtime owning the target.
-        runtime: Arc<Runtime>,
-        /// Virtual-target name (a worker pool).
-        target: String,
-    },
-    /// Readiness-driven: an epoll reactor thread owns every accepted socket
-    /// and posts a serving region to the named virtual target whenever the
-    /// kernel reports readiness. No blocking connection I/O anywhere; the
-    /// connection ceiling is the fd limit, not the thread count.
+    /// handler body. An epoll reactor thread owns every accepted socket and
+    /// posts a serving region whenever the kernel reports readiness. No
+    /// blocking connection I/O anywhere; the connection ceiling is the fd
+    /// limit, not the thread count.
     Reactor {
         /// The runtime owning the target.
         runtime: Arc<Runtime>,
@@ -124,7 +109,7 @@ struct ServerShared {
     served: AtomicU64,
     errors: AtomicU64,
     conn: ConnCounters,
-    /// Pyjama-policy regions posted but not yet finished. The virtual
+    /// Reactor-policy regions posted but not yet finished. The virtual
     /// target belongs to the application's runtime — `shutdown` cannot join
     /// it, so it quiesces on this count instead.
     inflight: AtomicU64,
@@ -195,7 +180,6 @@ pub struct HttpServer {
     shared: Arc<ServerShared>,
     acceptors: Vec<JoinHandle<()>>,
     pool: Option<Arc<WorkerTarget>>,
-    parker: Option<IdleParker>,
     reactor: Option<Reactor>,
 }
 
@@ -258,7 +242,7 @@ impl HttpServer {
             }),
         });
 
-        let (pool, parker, reactor, sink) = match &policy {
+        let (pool, reactor, sink) = match &policy {
             ServingPolicy::JettyPool { threads } => {
                 // The Jetty policy needs its own pool; reuse WorkerTarget
                 // (it is a plain fixed pool when used without the runtime's
@@ -268,62 +252,15 @@ impl HttpServer {
                     pool: Arc::clone(&pool),
                     label: Arc::from("http-conn"),
                 };
-                (Some(pool), None, None, sink)
-            }
-            ServingPolicy::PyjamaVirtualTarget { runtime, target } => {
-                let parker_shared = ParkerShared::new()?;
-                // Resolve the target once; when it is not registered (yet)
-                // fall back to a per-request lookup so each failed dispatch
-                // is counted instead of the server refusing to start.
-                let dispatch = match runtime.lookup(target) {
-                    Ok(t) => Dispatch::Direct(t),
-                    Err(_) => Dispatch::Lookup {
-                        runtime: Arc::clone(runtime),
-                        name: target.clone(),
-                    },
-                };
-                let ctx = Arc::new(PyjamaCtx {
-                    post: TargetPost {
-                        shared: Arc::clone(&shared),
-                        dispatch,
-                        label: Arc::from(format!("target virtual({target})").as_str()),
-                    },
-                    parker: Arc::clone(&parker_shared),
-                });
-                // A parked connection turning readable re-enters the target
-                // as a fresh region; going idle past the deadline evicts it.
-                let on_ready = {
-                    let ctx = Arc::clone(&ctx);
-                    move |conn: ConnState| {
-                        pyjama_trace::emit(conn.trace, Stage::ConnReady, trace_arg::READY_READABLE);
-                        let ctx2 = Arc::clone(&ctx);
-                        let posted = ctx.post.post(conn.trace, move || {
-                            let mut conn = conn;
-                            match conn.read_request_capped(ctx2.post.shared.max_body()) {
-                                Ok(()) => serve_one(conn, &ctx2),
-                                Err(e) => fail_read(conn, e, &ctx2.post.shared, false),
-                            }
-                        });
-                        if !posted {
-                            ctx.post.shared.errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                };
-                let on_timeout = {
-                    let shared = Arc::clone(&shared);
-                    move |conn: ConnState| {
-                        pyjama_trace::emit(conn.trace, Stage::ConnReady, trace_arg::READY_TIMEOUT);
-                        shared.conn.record_timed_out_idle();
-                        drop(conn); // closes the socket
-                    }
-                };
-                let parker = IdleParker::spawn(parker_shared, on_ready, on_timeout)?;
-                (None, Some(parker), None, AcceptSink::Pyjama { ctx })
+                (Some(pool), None, sink)
             }
             ServingPolicy::Reactor { runtime, target } => {
                 let reactor_shared = ReactorShared::new_controlled(
                     shared.control.as_ref().map(|c| c.handle.clone()),
                 )?;
+                // Resolve the target once; when it is not registered (yet)
+                // fall back to a per-request lookup so each failed dispatch
+                // is counted instead of the server refusing to start.
                 let dispatch = match runtime.lookup(target) {
                     Ok(t) => Dispatch::Direct(t),
                     Err(_) => Dispatch::Lookup {
@@ -376,7 +313,7 @@ impl HttpServer {
                     }
                 };
                 let reactor = Reactor::spawn(Arc::clone(&reactor_shared), on_ready, on_timeout)?;
-                (None, None, Some(reactor), AcceptSink::Reactor { ctx })
+                (None, Some(reactor), AcceptSink::Reactor { ctx })
             }
         };
 
@@ -388,10 +325,6 @@ impl HttpServer {
                 AcceptSink::Jetty { pool, .. } => {
                     let pool = Arc::clone(pool);
                     Arc::new(move || pool.pending())
-                }
-                AcceptSink::Pyjama { ctx } => {
-                    let ctx = Arc::clone(ctx);
-                    Arc::new(move || ctx.post.dispatch.pending())
                 }
                 AcceptSink::Reactor { ctx } => {
                     let ctx = Arc::clone(ctx);
@@ -419,7 +352,6 @@ impl HttpServer {
             shared,
             acceptors,
             pool,
-            parker,
             reactor,
         })
     }
@@ -486,8 +418,8 @@ impl HttpServer {
         self.reactor.as_ref().map(|r| r.stats())
     }
 
-    /// Stops accepting, unblocks and joins every acceptor, stops the idle
-    /// poller (closing parked connections) and shuts the Jetty pool down.
+    /// Stops accepting, unblocks and joins every acceptor, stops the reactor
+    /// (closing registered connections) and shuts the Jetty pool down.
     /// Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
@@ -498,9 +430,6 @@ impl HttpServer {
         }
         for a in self.acceptors.drain(..) {
             let _ = a.join();
-        }
-        if let Some(mut parker) = self.parker.take() {
-            parker.shutdown();
         }
         // Stop the reactor before quiescing: registered connections close
         // (clients see EOF) and an in-flight region that tries to re-arm
@@ -513,9 +442,9 @@ impl HttpServer {
         if let Some(pool) = self.pool.take() {
             pool.shutdown();
         }
-        // Quiesce Pyjama regions still running on the application's worker
-        // target (which is not ours to join): with `stop` set and the
-        // acceptors and poller gone, no region re-arms, so the count only
+        // Quiesce serving regions still running on the application's worker
+        // target (which is not ours to join): with `stop` set, the acceptors
+        // gone and the reactor closed, no region re-arms, so the count only
         // falls. The deadline is a backstop against a target that was shut
         // down underneath us with regions still queued.
         let t0 = Instant::now();
@@ -540,15 +469,12 @@ enum AcceptSink {
         pool: Arc<WorkerTarget>,
         label: Arc<str>,
     },
-    Pyjama {
-        ctx: Arc<PyjamaCtx>,
-    },
     Reactor {
         ctx: Arc<ReactorCtx>,
     },
 }
 
-/// How the Pyjama policy reaches its virtual target.
+/// How the Reactor policy reaches its virtual target.
 enum Dispatch {
     /// Resolved once at startup — the hot path posts with no registry
     /// access or name formatting.
@@ -571,19 +497,13 @@ impl Dispatch {
 }
 
 /// An inflight-counted post of a `nowait` region to the virtual target —
-/// the dispatch half shared by the Pyjama and Reactor policies.
+/// the dispatch half of the Reactor policy.
 struct TargetPost {
     shared: Arc<ServerShared>,
     dispatch: Dispatch,
     /// Interned region label: re-posting clones the `Arc` instead of
     /// formatting a fresh string per request.
     label: Arc<str>,
-}
-
-/// Everything a Pyjama-policy serving region needs to re-arm a connection.
-struct PyjamaCtx {
-    post: TargetPost,
-    parker: Arc<ParkerShared>,
 }
 
 /// Everything a Reactor-policy serving region needs: the target post plus
@@ -655,66 +575,54 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, sink: AcceptSin
         // reconfiguration changes sessions accepted after it, never one
         // mid-flight.
         let session_opts = shared.effective_opts();
-        if let AcceptSink::Reactor { ctx } = &sink {
-            // The reactor policy never blocks on a socket: accept, go
-            // non-blocking, hand straight to the reactor with read interest.
-            // The first readiness event does what the Pyjama acceptor's
-            // blocking first-request read used to.
-            let mut conn = match ReactorConn::new(stream) {
-                Ok(c) => c,
-                Err(_) => {
-                    shared.errors.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            };
-            shared.conn.record_accepted();
-            conn.trace = TraceId::mint();
-            conn.opts = session_opts;
-            pyjama_trace::emit(conn.trace, Stage::ConnAccepted, 0);
-            ctx.reactor.register(Reg {
-                conn,
-                interest: Interest::Read,
-                deadline: Instant::now() + session_opts.idle_timeout,
-                idle: true,
-                kind: RegKind::Initial,
-            });
-            continue;
-        }
-        let mut conn = match ConnState::new(stream, session_opts.io_timeout) {
-            Ok(c) => c,
-            Err(_) => {
-                shared.errors.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        };
-        shared.conn.record_accepted();
-        conn.trace = TraceId::mint();
-        conn.opts = session_opts;
-        pyjama_trace::emit(conn.trace, Stage::ConnAccepted, 0);
         match &sink {
+            AcceptSink::Reactor { ctx } => {
+                // The reactor policy never blocks on a socket: accept, go
+                // non-blocking, hand straight to the reactor with read
+                // interest. The first readiness event reads the first
+                // request.
+                let mut conn = match ReactorConn::new(stream) {
+                    Ok(c) => c,
+                    Err(_) => {
+                        shared.errors.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                };
+                shared.conn.record_accepted();
+                conn.trace = TraceId::mint();
+                conn.opts = session_opts;
+                pyjama_trace::emit(conn.trace, Stage::ConnAccepted, 0);
+                ctx.reactor.register(Reg {
+                    conn,
+                    interest: Interest::Read,
+                    deadline: Instant::now() + session_opts.idle_timeout,
+                    idle: true,
+                    kind: RegKind::Initial,
+                });
+            }
             AcceptSink::Jetty { pool, label } => {
+                let mut conn = match ConnState::new(stream, session_opts.io_timeout) {
+                    Ok(c) => c,
+                    Err(_) => {
+                        shared.errors.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                };
+                shared.conn.record_accepted();
+                conn.trace = TraceId::mint();
+                conn.opts = session_opts;
+                pyjama_trace::emit(conn.trace, Stage::ConnAccepted, 0);
                 // Hand the connection to a pool thread: it owns the whole
                 // keep-alive session.
                 let shared = Arc::clone(&shared);
-                let trace = conn.trace;
                 pool.post(TargetRegion::with_label_trace(
                     Arc::clone(label),
-                    trace,
+                    conn.trace,
                     move || {
                         serve_session(conn, &shared);
                     },
                 ));
             }
-            AcceptSink::Pyjama { ctx } => {
-                // The acceptor parses only the *first* request (cheap),
-                // then offloads the handler — and with it the connection's
-                // future — to the virtual target.
-                match conn.read_request_capped(shared.max_body()) {
-                    Ok(()) => rearm(conn, ctx),
-                    Err(e) => fail_read(conn, e, &shared, true),
-                }
-            }
-            AcceptSink::Reactor { .. } => unreachable!("handled before ConnState setup"),
         }
     }
 }
@@ -731,30 +639,6 @@ fn decide_close(
         || !opts.keep_alive
         || served_before + 1 >= opts.max_requests_per_conn
         || shared.stop.load(Ordering::SeqCst)
-}
-
-/// Handles one parsed request on `conn`: admission check, then run the
-/// handler (or write the shed 429), write the response, bump counters.
-/// Returns `false` when the connection must not serve further requests.
-fn respond(conn: &mut ConnState, shared: &Arc<ServerShared>) -> bool {
-    let resp = match shared.admit(conn.trace) {
-        Some(shed) => shed,
-        None => run_handler(shared, &conn.req),
-    };
-    let close = decide_close(conn.served, &conn.req, shared, &conn.opts);
-    if conn.write_response(&resp, close).is_err() {
-        shared.errors.fetch_add(1, Ordering::Relaxed);
-        return false;
-    }
-    // Count only after the write succeeded: `served` is monotone and a
-    // request is never double-counted across a keep-alive session.
-    conn.served += 1;
-    shared.served.fetch_add(1, Ordering::Relaxed);
-    pyjama_trace::emit(conn.trace, Stage::ResponseWritten, conn.served);
-    if conn.served > 1 {
-        shared.conn.record_reused();
-    }
-    !close
 }
 
 /// Jetty-style session: the calling pool thread owns `conn` until close.
@@ -787,46 +671,27 @@ fn serve_session(mut conn: ConnState, shared: &Arc<ServerShared>) {
             Ok(()) => {}
             Err(e) => return fail_read(conn, e, shared, first),
         }
-        if !respond(&mut conn, shared) {
+        // Admission check, then the handler (or the shed 429).
+        let resp = match shared.admit(conn.trace) {
+            Some(shed) => shed,
+            None => run_handler(shared, &conn.req),
+        };
+        let close = decide_close(conn.served, &conn.req, shared, &opts);
+        if conn.write_response(&resp, close).is_err() {
+            shared.errors.fetch_add(1, Ordering::Relaxed);
             return;
         }
-    }
-}
-
-/// Pyjama-style serving of the request already parsed into `conn.req`,
-/// running inside a `nowait` target region. Afterwards the connection
-/// re-arms itself: a pipelined request re-posts immediately; a silent
-/// connection parks on the idle poller — this region returns without ever
-/// blocking on the socket.
-fn serve_one(mut conn: ConnState, ctx: &Arc<PyjamaCtx>) {
-    let shared = &ctx.post.shared;
-    if !respond(&mut conn, shared) {
-        return;
-    }
-    if shared.stop.load(Ordering::SeqCst) {
-        return;
-    }
-    if conn.has_buffered() {
-        shared.conn.record_pipelined();
-        match conn.read_request_capped(shared.max_body()) {
-            Ok(()) => rearm(conn, ctx),
-            Err(e) => fail_read(conn, e, shared, false),
+        // Count only after the write succeeded: `served` is monotone and a
+        // request is never double-counted across a keep-alive session.
+        conn.served += 1;
+        shared.served.fetch_add(1, Ordering::Relaxed);
+        pyjama_trace::emit(conn.trace, Stage::ResponseWritten, conn.served);
+        if conn.served > 1 {
+            shared.conn.record_reused();
         }
-    } else {
-        let deadline = Instant::now() + conn.opts.idle_timeout;
-        pyjama_trace::emit(conn.trace, Stage::ConnIdlePark, conn.served);
-        ctx.parker.park(conn, deadline);
-    }
-}
-
-/// Posts the next link of the connection's region chain.
-fn rearm(conn: ConnState, ctx: &Arc<PyjamaCtx>) {
-    pyjama_trace::emit(conn.trace, Stage::ConnRearm, conn.served);
-    let ctx2 = Arc::clone(ctx);
-    let trace = conn.trace;
-    let posted = ctx.post.post(trace, move || serve_one(conn, &ctx2));
-    if !posted {
-        ctx.post.shared.errors.fetch_add(1, Ordering::Relaxed);
+        if close {
+            return;
+        }
     }
 }
 
@@ -1012,24 +877,6 @@ mod tests {
         assert_eq!(resp.body, b"hello");
         wait_served(&server, 1);
         assert_eq!(server.conn_stats().accepted, 1);
-        server.shutdown();
-    }
-
-    #[test]
-    fn pyjama_policy_serves_requests() {
-        let rt = Arc::new(Runtime::new());
-        rt.virtual_target_create_worker("worker", 4);
-        let mut server = HttpServer::start(
-            ServingPolicy::PyjamaVirtualTarget {
-                runtime: Arc::clone(&rt),
-                target: "worker".into(),
-            },
-            echo_handler,
-        )
-        .unwrap();
-        let resp = http_post(server.addr(), "/echo", b"pyjama".to_vec()).unwrap();
-        assert_eq!(resp.status, Status::Ok);
-        assert_eq!(resp.body, b"pyjama");
         server.shutdown();
     }
 
@@ -1291,7 +1138,7 @@ mod tests {
     fn unknown_target_counts_error() {
         let rt = Arc::new(Runtime::new()); // no targets registered
         let mut server = HttpServer::start(
-            ServingPolicy::PyjamaVirtualTarget {
+            ServingPolicy::Reactor {
                 runtime: rt,
                 target: "ghost".into(),
             },
@@ -1330,14 +1177,14 @@ mod tests {
     }
 
     #[test]
-    fn stalled_client_does_not_block_pyjama_acceptor() {
-        // Under the Pyjama policy an acceptor reads the first request; a
-        // silent connection must release it within the I/O timeout (and the
-        // other acceptor shard keeps serving meanwhile).
+    fn stalled_client_does_not_block_reactor_acceptor() {
+        // Under the Reactor policy an acceptor never reads: a silent
+        // connection sits registered with the reactor while later clients
+        // are accepted and served.
         let rt = Arc::new(Runtime::new());
         rt.virtual_target_create_worker("worker", 2);
         let mut server = HttpServer::start(
-            ServingPolicy::PyjamaVirtualTarget {
+            ServingPolicy::Reactor {
                 runtime: rt,
                 target: "worker".into(),
             },

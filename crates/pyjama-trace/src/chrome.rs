@@ -66,9 +66,6 @@ fn slice_name(ev: &TraceEvent) -> String {
             };
             format!("region_posted({how})")
         }
-        Stage::ConnReady if ev.arg == argv::READY_TIMEOUT => {
-            "conn_ready(timeout)".to_string()
-        }
         Stage::ReactorReady => {
             let why = match ev.arg {
                 argv::READY_READABLE => "readable",

@@ -3,15 +3,16 @@
 //! One [`Stage`] per lifecycle transition the runtime can witness. The set
 //! mirrors the paper's event pipeline (post → queue → dispatch), the
 //! work-stealing executor (post → dequeue → run), the §5c await barrier
-//! (enter → park → wake → exit) and the HTTP connection re-arm chain
-//! (accept → re-arm → idle park → ready → response). Each recorded
+//! (enter → park → wake → exit) and the HTTP connection lifecycle
+//! (accept → reactor ready → re-arm → response). Each recorded
 //! [`TraceEvent`] is a fixed-size `Copy` value — no allocation on the hot
 //! path, ever.
 
 use crate::id::TraceId;
 
 /// A lifecycle stage. The discriminants are stable (they are what the ring
-/// buffer stores), so only append new variants.
+/// buffer stores), so only append new variants; a retired stage leaves its
+/// discriminant unassigned (19 and 20 are retired).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Stage {
@@ -63,10 +64,6 @@ pub enum Stage {
     ConnAccepted = 17,
     /// The connection re-armed: its next serve step was posted as a region.
     ConnRearm = 18,
-    /// The quiet connection moved to the idle parker.
-    ConnIdlePark = 19,
-    /// The parked connection came back (arg 1 = idle timeout, 0 = readable).
-    ConnReady = 20,
     /// A response was written back to the socket (arg = requests served on
     /// this connection so far).
     ResponseWritten = 21,
@@ -131,9 +128,9 @@ pub mod arg {
     /// [`super::Stage::RegionRunEnd`] / [`super::Stage::EventDispatchEnd`]: the body panicked.
     pub const END_PANICKED: u32 = 1;
 
-    /// [`super::Stage::ConnReady`] / [`super::Stage::ReactorReady`]: socket readable.
+    /// [`super::Stage::ReactorReady`]: socket readable.
     pub const READY_READABLE: u32 = 0;
-    /// [`super::Stage::ConnReady`] / [`super::Stage::ReactorReady`]: idle deadline elapsed.
+    /// [`super::Stage::ReactorReady`]: deadline elapsed.
     pub const READY_TIMEOUT: u32 = 1;
     /// [`super::Stage::ReactorReady`]: socket writable (EPOLLOUT re-arm fired).
     pub const READY_WRITABLE: u32 = 2;
@@ -184,8 +181,6 @@ impl Stage {
             16 => WorkerWake,
             17 => ConnAccepted,
             18 => ConnRearm,
-            19 => ConnIdlePark,
-            20 => ConnReady,
             21 => ResponseWritten,
             22 => TeamFork,
             23 => TeamJoin,
@@ -221,8 +216,6 @@ impl Stage {
             WorkerWake => "worker_wake",
             ConnAccepted => "conn_accepted",
             ConnRearm => "conn_rearm",
-            ConnIdlePark => "conn_idle_park",
-            ConnReady => "conn_ready",
             ResponseWritten => "response_written",
             TeamFork => "team_fork",
             TeamJoin => "team_join",
@@ -279,19 +272,26 @@ pub struct TraceEvent {
 mod tests {
     use super::*;
 
+    /// Every assigned discriminant: 0..=28 minus the retired 19 and 20.
+    fn assigned() -> impl Iterator<Item = u8> {
+        (0..=28u8).filter(|v| !matches!(v, 19 | 20))
+    }
+
     #[test]
     fn stage_roundtrips_through_u8() {
-        for v in 0..=28u8 {
+        for v in assigned() {
             let s = Stage::from_u8(v).expect("valid discriminant");
             assert_eq!(s as u8, v);
             assert!(!s.name().is_empty());
         }
-        assert_eq!(Stage::from_u8(200), None);
+        for retired in [19, 20, 200] {
+            assert_eq!(Stage::from_u8(retired), None);
+        }
     }
 
     #[test]
     fn pairing_is_consistent() {
-        for v in 0..=28u8 {
+        for v in assigned() {
             let s = Stage::from_u8(v).unwrap();
             if let Some(close) = s.closes_with() {
                 assert!(close.is_closer(), "{close:?} must be a closer");

@@ -1,7 +1,7 @@
 //! Well-formedness checks for exported Chrome trace JSON.
 //!
 //! Used by the CI smoke step (`trace_check` binary) and the root
-//! `trace_pipeline` integration test. The checks enforced:
+//! `reactor` and `pj_trace_flow` integration tests. The checks enforced:
 //!
 //! 1. the file parses as a `{"traceEvents": [...]}` document;
 //! 2. every flow `id` that starts (`"ph":"s"`) also finishes (`"ph":"f"`),

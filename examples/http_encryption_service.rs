@@ -61,11 +61,11 @@ fn main() {
         LoadGenerator::new(users, requests_per_user, "/encrypt", payload.clone()).run(jetty.addr());
     jetty.shutdown();
 
-    // --- Pyjama-style: acceptor + virtual target offload ----------------
+    // --- Pyjama-style: readiness reactor + virtual target offload --------
     let rt = Arc::new(Runtime::new());
     rt.virtual_target_create_worker("worker", 4);
     let mut pyjama_srv = HttpServer::start(
-        ServingPolicy::PyjamaVirtualTarget {
+        ServingPolicy::Reactor {
             runtime: Arc::clone(&rt),
             target: "worker".into(),
         },

@@ -12,7 +12,7 @@ use pyjama::http::{
 };
 use pyjama::runtime::{Runtime, WorkerTarget};
 
-/// A controlled Pyjama-policy server over a worker target of `m` threads,
+/// A controlled Reactor-policy server over a worker target of `m` threads,
 /// with the plane driving both the pool size and the admission gate.
 fn start_controlled(
     m: usize,
@@ -23,7 +23,7 @@ fn start_controlled(
     let plane = ControlPlane::new();
     plane.attach_worker_target(&target);
     let server = HttpServer::start_controlled(
-        ServingPolicy::PyjamaVirtualTarget {
+        ServingPolicy::Reactor {
             runtime: rt,
             target: "worker".into(),
         },

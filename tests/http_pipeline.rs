@@ -24,11 +24,13 @@ fn keep_alive_request(path: &str, body: Vec<u8>) -> Request {
     req
 }
 
+/// The Pyjama policy: `target virtual(worker) nowait` regions posted by
+/// the readiness reactor.
 fn pyjama_server(workers: usize, opts: ServerOptions) -> (HttpServer, Arc<Runtime>) {
     let rt = Arc::new(Runtime::new());
     rt.virtual_target_create_worker("worker", workers);
     let server = HttpServer::start_with(
-        ServingPolicy::PyjamaVirtualTarget {
+        ServingPolicy::Reactor {
             runtime: Arc::clone(&rt),
             target: "worker".into(),
         },

@@ -21,7 +21,7 @@ fn start_pyjama_server() -> (HttpServer, Arc<Runtime>) {
     let rt = Arc::new(Runtime::new());
     rt.virtual_target_create_worker("worker", 3);
     let server = HttpServer::start(
-        ServingPolicy::PyjamaVirtualTarget {
+        ServingPolicy::Reactor {
             runtime: Arc::clone(&rt),
             target: "worker".into(),
         },
