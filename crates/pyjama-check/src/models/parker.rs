@@ -110,7 +110,7 @@ impl ModelWakeSignal {
 pub struct AwaitOutcome {
     pub finished: bool,
     /// No-work wakeups as counted by the (possibly mutated) protocol logic
-    /// — what `COUNTERS.record_spurious()` would have seen.
+    /// — what `COUNTERS.spurious_wakes.inc()` would have seen.
     pub spurious: u64,
     /// Ground truth: parks whose wakeup (notify *or* timeout) was followed
     /// by a no-work iteration or the deadline exit.

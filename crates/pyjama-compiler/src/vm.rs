@@ -144,8 +144,8 @@ fn run_entry(
     let mut counters = LocalCounts::default();
     let mut stack: Vec<Slot> = params.into_iter().map(Slot::V).collect();
     let r = run_chunk(core, &mut stack, 0, chunk, &caps, omp, &mut counters);
-    COUNTERS.add_ops(counters.ops);
-    COUNTERS.add_frames(counters.frames);
+    COUNTERS.ops_executed.add(counters.ops);
+    COUNTERS.frames_pushed.add(counters.frames);
     r
 }
 
@@ -611,14 +611,14 @@ fn dispatch(
                         .map_err(|e| rt_err(e.to_string()))?;
                 }
             }
-            COUNTERS.record_target_dispatch();
+            COUNTERS.target_dispatches.inc();
             Ok(DispatchOut::Skip)
         }
         DirectiveSpec::Parallel { num_threads, body } => {
             let cells = resolve_caps(stack, base, caps, &body.caps)?;
             let chunk_idx = body.chunk as usize;
             let n = num_threads.unwrap_or_else(pyjama_omp::default_num_threads);
-            COUNTERS.record_team_region();
+            COUNTERS.team_regions.inc();
             let errors: Mutex<Vec<CompileError>> = Mutex::new(Vec::new());
             pyjama_omp::parallel(n, |ctx| {
                 if let Err(e) = run_entry(core, chunk_idx, cells.clone(), Vec::new(), Some(ctx)) {
@@ -653,7 +653,7 @@ fn dispatch(
                     min_chunk: (*c).max(1),
                 },
             };
-            COUNTERS.record_team_region();
+            COUNTERS.team_regions.inc();
             let errors: Mutex<Vec<CompileError>> = Mutex::new(Vec::new());
             pyjama_omp::parallel(n, |ctx| {
                 ctx.for_range_nowait(s..e, sched, |i| {

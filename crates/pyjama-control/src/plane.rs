@@ -150,12 +150,12 @@ impl ControlPlane {
         let subscribers = self.inner.subscribers.lock().unwrap();
 
         if let Err(e) = config.validate() {
-            self.inner.counters.record_rejected();
+            self.inner.counters.rejected.inc();
             return Err(e);
         }
         for check in self.inner.prechecks.lock().unwrap().iter() {
             if let Err(e) = check(&config) {
-                self.inner.counters.record_rejected();
+                self.inner.counters.rejected.inc();
                 return Err(e);
             }
         }
@@ -172,7 +172,7 @@ impl ControlPlane {
             (sub.apply)(&snap.config, &diff);
             let _ = sub.name; // names surface through /admin stats later
             pyjama_trace::emit(flow, Stage::ConfigApply, i as u32);
-            self.inner.counters.record_subscriber_notified();
+            self.inner.counters.subscribers_notified.inc();
         }
         self.inner.counters.record_applied(generation);
         Ok(generation)

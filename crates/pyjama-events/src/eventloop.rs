@@ -228,6 +228,19 @@ impl EventLoop {
     }
 }
 
+/// Nothing runs a loop once its `EventLoop` is gone, so its queued events
+/// and pending timers can never be dispatched. Dropping them, and refusing
+/// later posts, breaks the cycle an event holding a handle to its own loop
+/// (a recurring tick) would otherwise form.
+impl Drop for EventLoop {
+    fn drop(&mut self) {
+        self.shared.queue.close();
+        self.shared.timers.close();
+        let mut queued = Vec::new();
+        self.shared.queue.try_pop_batch(usize::MAX, &mut queued);
+    }
+}
+
 /// A clonable handle for posting events to an [`EventLoop`] from any thread.
 #[derive(Clone)]
 pub struct EventLoopHandle {
@@ -313,7 +326,6 @@ impl EventLoopHandle {
     pub fn name(&self) -> &str {
         &self.shared.name
     }
-
 }
 
 impl std::fmt::Debug for EventLoopHandle {

@@ -187,6 +187,72 @@ mod tests {
     }
 
     #[test]
+    fn shut_down_loop_frees_its_pending_tick() {
+        // The callback owns a guard that counts its drop. The pending tick
+        // holds a handle to its own loop; unless the loop drops its timers
+        // on exit, the loop, the tick and the callback outlive shutdown and
+        // the count stays at 0.
+        struct Guard(Arc<AtomicU64>);
+        impl Drop for Guard {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let drops = Arc::new(AtomicU64::new(0));
+        let edt = Edt::spawn("edt");
+        let guard = Guard(Arc::clone(&drops));
+        let ih = edt.handle().post_interval(Duration::from_millis(2), move || {
+            let _ = &guard;
+        });
+        let t0 = Instant::now();
+        while ih.fired() == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "timer never fired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(edt);
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "callback leaked with its loop");
+
+        // Same for a loop that never ran.
+        let el = crate::eventloop::EventLoop::new("never-run");
+        let guard = Guard(Arc::clone(&drops));
+        el.handle().post_interval(Duration::from_secs(60), move || {
+            let _ = &guard;
+        });
+        drop(el);
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "callback leaked with its loop");
+
+        // A tick already moved to the event queue when the loop quits: a
+        // re-entrant pump moves both due ticks there and dispatches one.
+        let el = crate::eventloop::EventLoop::new("quit-with-queued-tick");
+        let h = el.handle();
+        for _ in 0..2 {
+            let guard = Guard(Arc::clone(&drops));
+            h.post_interval(Duration::from_millis(1), move || {
+                let _ = &guard;
+            });
+        }
+        let hq = h.clone();
+        let pumped = Arc::new(AtomicBool::new(false));
+        let p = Arc::clone(&pumped);
+        h.post(move || {
+            std::thread::sleep(Duration::from_millis(5));
+            p.store(crate::pump::try_pump_current(), Ordering::SeqCst);
+            hq.quit();
+        });
+        el.run();
+        assert!(pumped.load(Ordering::SeqCst), "no due tick was pumped");
+        assert_eq!(drops.load(Ordering::SeqCst), 4, "queued tick leaked with its loop");
+
+        // A tick scheduled through a handle that outlives its loop.
+        let guard = Guard(Arc::clone(&drops));
+        h.post_interval(Duration::from_secs(60), move || {
+            let _ = &guard;
+        });
+        drop(h);
+        assert_eq!(drops.load(Ordering::SeqCst), 5, "tick leaked after its loop");
+    }
+
+    #[test]
     fn cancelled_handle_reports_zero_future_fires() {
         let edt = Edt::spawn("edt");
         let ih = edt

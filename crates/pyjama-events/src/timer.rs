@@ -46,6 +46,7 @@ pub struct TimerQueue {
 struct TimerState {
     heap: BinaryHeap<Reverse<TimerEntry>>,
     next_seq: u64,
+    closed: bool,
 }
 
 impl TimerQueue {
@@ -55,6 +56,7 @@ impl TimerQueue {
             inner: Mutex::new(TimerState {
                 heap: BinaryHeap::new(),
                 next_seq: 0,
+                closed: false,
             }),
         }
     }
@@ -64,9 +66,15 @@ impl TimerQueue {
         self.schedule_at(Instant::now() + delay, event);
     }
 
-    /// Schedules `event` to become due at `deadline`.
+    /// Schedules `event` to become due at `deadline`. After
+    /// [`close`](Self::close) the event is dropped instead.
     pub fn schedule_at(&self, deadline: Instant, event: Event) {
         let mut g = self.inner.lock();
+        if g.closed {
+            drop(g);
+            drop(event);
+            return;
+        }
         let seq = g.next_seq;
         g.next_seq += 1;
         g.heap.push(Reverse(TimerEntry {
@@ -95,6 +103,18 @@ impl TimerQueue {
             }
         }
         due
+    }
+
+    /// Drops every pending timer and every one scheduled from now on. The
+    /// events are dropped outside the lock: their captures may run
+    /// arbitrary code when dropped, scheduling included.
+    pub fn close(&self) {
+        let heap = {
+            let mut g = self.inner.lock();
+            g.closed = true;
+            std::mem::take(&mut g.heap)
+        };
+        drop(heap);
     }
 
     /// Number of pending timers.

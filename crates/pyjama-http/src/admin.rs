@@ -5,9 +5,10 @@
 //!
 //! * `GET /config` — the current config snapshot plus its generation, as
 //!   JSON.
-//! * `GET /stats`  — reconfiguration counters (applied/rejected/generation),
-//!   admission counters, and the region recycler's allocation gauges
-//!   and, when a probe is wired, the data-plane admission counters.
+//! * `GET /stats`  — three counter sets, one JSON object each with one key
+//!   per field: the control plane's reconfiguration counters, the
+//!   data-plane admission counters (zero unless a probe is wired), and the
+//!   region recycler's allocation counters and gauges.
 //! * `POST /config` — a flat JSON object of config overrides. The patch is
 //!   applied on top of the *current* config and handed to
 //!   [`ControlPlane::apply`]: it is validated as a whole, so a bad patch
@@ -27,7 +28,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use pyjama_control::{Config, ControlPlane};
-use pyjama_metrics::AdmissionStats;
+use pyjama_metrics::{AdmissionStats, AllocStats, ReconfigStats};
 
 use crate::conn::ConnState;
 use crate::message::{Request, Response, Status};
@@ -141,31 +142,10 @@ fn route(plane: &ControlPlane, admission: &Option<AdmissionProbe>, req: &Request
             json_ok(config_json(&snap.config, snap.generation))
         }
         ("GET", "/stats") => {
-            let r = plane.stats();
             let a = admission.as_ref().map(|p| p()).unwrap_or_default();
             // Region-recycler gauges: `reused / (allocated + reused)` is the
             // live hit rate of the allocation-free posting path.
-            let al = pyjama_runtime::alloc_stats();
-            json_ok(format!(
-                "{{\"reconfig\":{{\"applied\":{},\"rejected\":{},\
-                 \"subscribers_notified\":{},\"generation\":{}}},\
-                 \"admission\":{{\"offered\":{},\"admitted\":{},\"shed\":{}}},\
-                 \"alloc\":{{\"allocated\":{},\"reused\":{},\"recycled\":{},\
-                 \"live\":{},\"dropped\":{},\"poisoned\":{}}}}}",
-                r.applied,
-                r.rejected,
-                r.subscribers_notified,
-                r.generation,
-                a.offered,
-                a.admitted,
-                a.shed,
-                al.allocated,
-                al.reused,
-                al.recycled,
-                al.live,
-                al.dropped,
-                al.poisoned,
-            ))
+            json_ok(stats_json(&plane.stats(), &a, &pyjama_runtime::alloc_stats()))
         }
         ("POST", "/config") => {
             let body = match std::str::from_utf8(&req.body) {
@@ -183,6 +163,23 @@ fn route(plane: &ControlPlane, admission: &Option<AdmissionProbe>, req: &Request
         }
         _ => json_error(Status::NotFound, "unknown admin route"),
     }
+}
+
+/// The `/stats` body: one JSON object per counter set, one key per field.
+fn stats_json(r: &ReconfigStats, a: &AdmissionStats, al: &AllocStats) -> String {
+    let sets: [(&str, &[(&str, u64)]); 3] = [
+        ("reconfig", &r.fields()),
+        ("admission", &a.fields()),
+        ("alloc", &al.fields()),
+    ];
+    let body: Vec<String> = sets
+        .iter()
+        .map(|(set, fields)| {
+            let kv: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            format!("\"{set}\":{{{}}}", kv.join(","))
+        })
+        .collect();
+    format!("{{{}}}", body.join(","))
 }
 
 fn json_ok(body: String) -> Response {
@@ -354,26 +351,75 @@ mod tests {
         admin.shutdown();
     }
 
+    /// The thirteen `/stats` keys with the value each must carry.
+    const STATS_KEYS: [(&str, u64); 13] = [
+        ("applied", 1),
+        ("rejected", 2),
+        ("subscribers_notified", 3),
+        ("generation", 4),
+        ("offered", 15),
+        ("admitted", 10),
+        ("shed", 5),
+        ("allocated", 101),
+        ("reused", 102),
+        ("dropped", 103),
+        ("poisoned", 104),
+        ("live", 105),
+        ("recycled", 106),
+    ];
+
+    /// The number after `"key":` in `body`, asserting the key occurs once.
+    fn only_value(body: &str, key: &str) -> u64 {
+        let pat = format!("\"{key}\":");
+        assert_eq!(body.matches(&pat).count(), 1, "{key} must appear once: {body}");
+        let rest = &body[body.find(&pat).unwrap() + pat.len()..];
+        let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+        rest[..end].parse().unwrap_or_else(|_| panic!("{key} has no number: {body}"))
+    }
+
     #[test]
-    fn stats_report_reconfig_counters() {
+    fn stats_body_has_every_field_once_with_its_value() {
+        // Distinct values, so a key paired with another field's value fails.
+        let r = ReconfigStats {
+            applied: 1,
+            rejected: 2,
+            subscribers_notified: 3,
+            generation: 4,
+        };
+        let a = AdmissionStats {
+            offered: 15,
+            admitted: 10,
+            shed: 5,
+        };
+        let al = AllocStats {
+            allocated: 101,
+            reused: 102,
+            dropped: 103,
+            poisoned: 104,
+            live: 105,
+            recycled: 106,
+        };
+        let body = stats_json(&r, &a, &al);
+        for (key, value) in STATS_KEYS {
+            assert_eq!(only_value(&body, key), value, "{key}: {body}");
+        }
+        // Nothing else: the thirteen fields plus the three set names.
+        assert_eq!(body.matches("\":").count(), STATS_KEYS.len() + 3, "{body}");
+
+        // The live endpoint serves the same keys, once each.
         let plane = ControlPlane::new();
-        let mut admin = AdminServer::start_with_stats(
-            plane.clone(),
-            Some(Box::new(|| AdmissionStats {
-                offered: 10,
-                admitted: 7,
-                shed: 3,
-            })),
-        )
-        .unwrap();
-        let mut cfg = plane.config();
-        cfg.workers = 2;
-        plane.apply(cfg).unwrap();
+        let mut admin =
+            AdminServer::start_with_stats(plane.clone(), Some(Box::new(move || a))).unwrap();
+        plane.apply(plane.config()).unwrap();
         let resp = http_get(admin.addr(), "/stats").unwrap();
         let body = body_str(&resp).to_string();
-        assert!(body.contains("\"applied\":1"), "{body}");
-        assert!(body.contains("\"shed\":3"), "{body}");
-        assert!(body.contains("\"alloc\":{\"allocated\":"), "{body}");
+        for (key, _) in STATS_KEYS {
+            only_value(&body, key);
+        }
+        assert_eq!(only_value(&body, "applied"), 1);
+        assert_eq!(only_value(&body, "generation"), 1);
+        assert_eq!(only_value(&body, "offered"), 15);
+        assert_eq!(only_value(&body, "shed"), 5);
         admin.shutdown();
     }
 

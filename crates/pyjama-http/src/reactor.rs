@@ -360,9 +360,9 @@ impl ReactorShared {
             return; // `reg` drops after the guard: the socket closes unlocked
         }
         match kind {
-            RegKind::Initial => self.counters.record_registered(),
-            RegKind::RearmRead => self.counters.record_rearm_read(),
-            RegKind::RearmWrite => self.counters.record_rearm_write(),
+            RegKind::Initial => self.counters.registered.inc(),
+            RegKind::RearmRead => self.counters.rearms_read.inc(),
+            RegKind::RearmWrite => self.counters.rearms_write.inc(),
         }
         let idx = table.insert(reg);
         let reg = table.slab[idx].as_mut().expect("just inserted");
@@ -417,7 +417,7 @@ impl ReactorShared {
         }
         for reg in expired.drain(..) {
             if reg.idle {
-                self.counters.record_evicted_idle();
+                self.counters.evicted_idle.inc();
             }
             on_timeout(reg.conn, reg.idle);
         }
@@ -734,16 +734,16 @@ fn reactor_loop(
                 // Copy by value: `EpollEvent` is packed on x86-64.
                 let token = ev.data;
                 if token == WAKE_TOKEN {
-                    shared.counters.record_wakeup();
+                    shared.counters.wakeups.inc();
                     continue;
                 }
-                shared.counters.record_readiness_event();
+                shared.counters.readiness_events.inc();
                 match table.take((token - 1) as usize) {
                     Some(reg) => {
-                        shared.counters.record_dispatched();
+                        shared.counters.dispatched.inc();
                         ready.push((reg.conn, reg.interest));
                     }
-                    None => shared.counters.record_spurious_ready(),
+                    None => shared.counters.spurious_ready.inc(),
                 }
             }
         }
@@ -819,8 +819,8 @@ fn reactor_loop(
                 };
                 if fire {
                     let reg = table.take(idx).expect("checked above");
-                    shared.counters.record_readiness_event();
-                    shared.counters.record_dispatched();
+                    shared.counters.readiness_events.inc();
+                    shared.counters.dispatched.inc();
                     ready.push((reg.conn, reg.interest));
                 }
             }

@@ -153,13 +153,13 @@ impl ServerShared {
     /// the handler. Every offered request lands in exactly one of
     /// `admitted`/`shed`, preserving `offered == admitted + shed`.
     fn admit(&self, trace: TraceId) -> Option<Response> {
-        self.admission.record_offered();
+        self.admission.offered.inc();
         if let Some(ctl) = &self.control {
             let cfg = ctl.handle.config();
             if cfg.admission_threshold > 0 {
                 let depth = ctl.depth.get().map_or(0, |probe| probe());
                 if depth > cfg.admission_threshold {
-                    self.admission.record_shed();
+                    self.admission.shed.inc();
                     pyjama_trace::emit(
                         trace,
                         Stage::AdmissionShed,
@@ -169,7 +169,7 @@ impl ServerShared {
                 }
             }
         }
-        self.admission.record_admitted();
+        self.admission.admitted.inc();
         None
     }
 }
@@ -304,7 +304,7 @@ impl HttpServer {
                         if idle {
                             // Normal keep-alive lifecycle: the client went
                             // quiet between requests.
-                            shared.conn.record_timed_out_idle();
+                            shared.conn.timed_out_idle.inc();
                         } else {
                             // Stalled mid-request or mid-response.
                             shared.errors.fetch_add(1, Ordering::Relaxed);
@@ -588,7 +588,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, sink: AcceptSin
                         continue;
                     }
                 };
-                shared.conn.record_accepted();
+                shared.conn.accepted.inc();
                 conn.trace = TraceId::mint();
                 conn.opts = session_opts;
                 pyjama_trace::emit(conn.trace, Stage::ConnAccepted, 0);
@@ -608,7 +608,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, sink: AcceptSin
                         continue;
                     }
                 };
-                shared.conn.record_accepted();
+                shared.conn.accepted.inc();
                 conn.trace = TraceId::mint();
                 conn.opts = session_opts;
                 pyjama_trace::emit(conn.trace, Stage::ConnAccepted, 0);
@@ -652,12 +652,12 @@ fn serve_session(mut conn: ConnState, shared: &Arc<ServerShared>) {
             match wait_readable(&mut conn, deadline, opts.io_timeout, &shared.stop) {
                 NextRequest::Ready { pipelined } => {
                     if pipelined {
-                        shared.conn.record_pipelined();
+                        shared.conn.pipelined.inc();
                     }
                 }
                 NextRequest::Eof | NextRequest::Stopped => return,
                 NextRequest::IdleTimeout => {
-                    shared.conn.record_timed_out_idle();
+                    shared.conn.timed_out_idle.inc();
                     return;
                 }
                 NextRequest::Err(_) => {
@@ -687,7 +687,7 @@ fn serve_session(mut conn: ConnState, shared: &Arc<ServerShared>) {
         shared.served.fetch_add(1, Ordering::Relaxed);
         pyjama_trace::emit(conn.trace, Stage::ResponseWritten, conn.served);
         if conn.served > 1 {
-            shared.conn.record_reused();
+            shared.conn.reused.inc();
         }
         if close {
             return;
@@ -722,10 +722,10 @@ fn drive_reactor_conn(mut conn: Box<ReactorConn>, ctx: &Arc<ReactorCtx>) {
                     shared.served.fetch_add(1, Ordering::Relaxed);
                     pyjama_trace::emit(conn.trace, Stage::ResponseWritten, conn.served);
                     if conn.served > 1 {
-                        shared.conn.record_reused();
+                        shared.conn.reused.inc();
                     }
                     if conn.buffered() > 0 {
-                        shared.conn.record_pipelined();
+                        shared.conn.pipelined.inc();
                     }
                     if conn.close_after_write || shared.stop.load(Ordering::SeqCst) {
                         return; // drop closes the socket

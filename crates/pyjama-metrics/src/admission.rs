@@ -12,71 +12,18 @@
 //! `offered == admitted + shed` holds at every quiescent point — a request
 //! is never silently dropped and never double-counted.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cumulative admission-control counters. Increments are single relaxed
-/// atomic adds so the admission check stays off the serving hot path's
-/// critical section.
-#[derive(Debug, Default)]
-pub struct AdmissionCounters {
-    offered: AtomicU64,
-    admitted: AtomicU64,
-    shed: AtomicU64,
-}
-
-impl AdmissionCounters {
-    /// An all-zero counter set, usable in `static` position.
-    pub const fn new() -> Self {
-        AdmissionCounters {
-            offered: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-        }
+crate::counter_set! {
+    /// Cumulative admission-control counters. Increments are single relaxed
+    /// atomic adds so the admission check stays off the serving hot path's
+    /// critical section.
+    pub struct AdmissionCounters => AdmissionStats {
+        /// Requests that reached the admission decision point.
+        offered: Counter,
+        /// Requests admitted to a handler.
+        admitted: Counter,
+        /// Requests shed with `429 Retry-After` (handler never ran).
+        shed: Counter,
     }
-
-    /// A parsed request reached the admission decision point.
-    pub fn record_offered(&self) {
-        self.offered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The request was admitted and handed to its handler.
-    pub fn record_admitted(&self) {
-        self.admitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The request was shed with `429 Retry-After` (handler never ran).
-    pub fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> AdmissionStats {
-        AdmissionStats {
-            offered: self.offered.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter. Concurrent increments racing the reset land on
-    /// either side of it; callers that need exact deltas should quiesce the
-    /// server first, or diff two [`snapshot`](Self::snapshot)s instead.
-    pub fn reset(&self) {
-        self.offered.store(0, Ordering::Relaxed);
-        self.admitted.store(0, Ordering::Relaxed);
-        self.shed.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of [`AdmissionCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdmissionStats {
-    /// Requests that reached the admission decision point.
-    pub offered: u64,
-    /// Requests admitted to a handler.
-    pub admitted: u64,
-    /// Requests shed with `429 Retry-After`.
-    pub shed: u64,
 }
 
 impl AdmissionStats {
@@ -94,16 +41,6 @@ impl AdmissionStats {
         }
         self.shed as f64 / self.offered as f64
     }
-
-    /// Counter growth between an earlier snapshot and this one (saturating,
-    /// so a reset in between reads as zero rather than wrapping).
-    pub fn since(&self, earlier: &AdmissionStats) -> AdmissionStats {
-        AdmissionStats {
-            offered: self.offered.saturating_sub(earlier.offered),
-            admitted: self.admitted.saturating_sub(earlier.admitted),
-            shed: self.shed.saturating_sub(earlier.shed),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -111,10 +48,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_start_at_zero_and_balanced() {
-        let c = AdmissionCounters::new();
-        let s = c.snapshot();
-        assert_eq!(s, AdmissionStats::default());
+    fn nothing_offered_is_balanced_with_zero_shed_rate() {
+        let s = AdmissionStats::default();
         assert!(s.balanced());
         assert_eq!(s.shed_rate(), 0.0);
     }
@@ -123,11 +58,11 @@ mod tests {
     fn conservation_law_holds_when_recorded_in_pairs() {
         let c = AdmissionCounters::new();
         for i in 0..100 {
-            c.record_offered();
+            c.offered.inc();
             if i % 3 == 0 {
-                c.record_shed();
+                c.shed.inc();
             } else {
-                c.record_admitted();
+                c.admitted.inc();
             }
         }
         let s = c.snapshot();
@@ -139,27 +74,10 @@ mod tests {
     #[test]
     fn imbalance_is_detectable() {
         let c = AdmissionCounters::new();
-        c.record_offered();
+        c.offered.inc();
         assert!(!c.snapshot().balanced());
-        c.record_admitted();
+        c.admitted.inc();
         assert!(c.snapshot().balanced());
-    }
-
-    #[test]
-    fn delta_and_reset() {
-        let c = AdmissionCounters::new();
-        c.record_offered();
-        c.record_shed();
-        let s1 = c.snapshot();
-        c.record_offered();
-        c.record_admitted();
-        let d = c.snapshot().since(&s1);
-        assert_eq!(d.offered, 1);
-        assert_eq!(d.admitted, 1);
-        assert_eq!(d.shed, 0);
-        assert!(d.balanced());
-        c.reset();
-        assert_eq!(c.snapshot(), AdmissionStats::default());
     }
 
     #[test]
@@ -170,11 +88,11 @@ mod tests {
                 let c = std::sync::Arc::clone(&c);
                 std::thread::spawn(move || {
                     for i in 0..1000 {
-                        c.record_offered();
+                        c.offered.inc();
                         if (t + i) % 2 == 0 {
-                            c.record_admitted();
+                            c.admitted.inc();
                         } else {
-                            c.record_shed();
+                            c.shed.inc();
                         }
                     }
                 })

@@ -22,45 +22,42 @@
 //! recycler's hit rate, and a steady-state hit rate of 1.0 is exactly the
 //! "0 allocations per post" property the `post_hotpath` bench gates.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cumulative + gauge counters for an allocation recycler. All updates are
-/// relaxed atomics; exact equality in the conservation law is only expected
-/// at quiesce (no region in flight).
-#[derive(Debug, Default)]
-pub struct AllocCounters {
-    allocated: AtomicU64,
-    reused: AtomicU64,
-    dropped: AtomicU64,
-    poisoned: AtomicU64,
-    live: AtomicU64,
-    recycled: AtomicU64,
+crate::counter_set! {
+    /// Cumulative + gauge counters for an allocation recycler. Exact
+    /// equality in the conservation law is only expected at quiesce (no
+    /// region in flight).
+    pub struct AllocCounters => AllocStats {
+        /// Fresh constructions (cumulative; slab misses).
+        allocated: Counter,
+        /// Slab hits (cumulative; posts that allocated nothing).
+        reused: Counter,
+        /// Regions retired for good (cumulative).
+        dropped: Counter,
+        /// Of `dropped`, those retired because their body panicked (this
+        /// only attributes the reason; the retirement is a `record_drop`).
+        poisoned: Counter,
+        /// Regions currently checked out.
+        live: Gauge,
+        /// Regions currently resting in the slab.
+        recycled: Gauge,
+    }
 }
 
+/// The lifecycle transitions. Each moves one region between the law's
+/// terms in one call; they are the supported way to record a transition
+/// (the cells are public, so nothing stops a caller bumping one term alone).
 impl AllocCounters {
-    /// An all-zero counter set, usable in `static` position.
-    pub const fn new() -> Self {
-        AllocCounters {
-            allocated: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            poisoned: AtomicU64::new(0),
-            live: AtomicU64::new(0),
-            recycled: AtomicU64::new(0),
-        }
-    }
-
     /// A fresh region was constructed (slab miss). It starts live.
     pub fn record_fresh(&self) {
-        self.allocated.fetch_add(1, Ordering::Relaxed);
-        self.live.fetch_add(1, Ordering::Relaxed);
+        self.allocated.inc();
+        self.live.add(1);
     }
 
     /// A region was taken from the slab (hit): recycled → live.
     pub fn record_reuse(&self) {
-        self.reused.fetch_add(1, Ordering::Relaxed);
-        self.recycled.fetch_sub(1, Ordering::Relaxed);
-        self.live.fetch_add(1, Ordering::Relaxed);
+        self.reused.inc();
+        self.recycled.sub(1);
+        self.live.add(1);
     }
 
     /// A parked region was claimed from the slab but found still pinned at
@@ -68,58 +65,22 @@ impl AllocCounters {
     /// records live → dropped. Not counted as a reuse — the claim produced
     /// no recycled region.
     pub fn record_unpark(&self) {
-        self.recycled.fetch_sub(1, Ordering::Relaxed);
-        self.live.fetch_add(1, Ordering::Relaxed);
+        self.recycled.sub(1);
+        self.live.add(1);
     }
 
     /// A terminal region entered the slab: live → recycled.
     pub fn record_recycle(&self) {
-        self.recycled.fetch_add(1, Ordering::Relaxed);
-        self.live.fetch_sub(1, Ordering::Relaxed);
+        self.recycled.add(1);
+        self.live.sub(1);
     }
 
     /// A live region was retired for good (slab full, pinned by a handle,
     /// or simply dropped by its owner): live → dropped.
     pub fn record_drop(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-        self.live.fetch_sub(1, Ordering::Relaxed);
+        self.dropped.inc();
+        self.live.sub(1);
     }
-
-    /// A panicked (poisoned) region was retired instead of recycled.
-    /// Also counts as a [`record_drop`](Self::record_drop) — this counter
-    /// only attributes the reason.
-    pub fn record_poisoned(&self) {
-        self.poisoned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot for reporting.
-    pub fn snapshot(&self) -> AllocStats {
-        AllocStats {
-            allocated: self.allocated.load(Ordering::Relaxed),
-            reused: self.reused.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            poisoned: self.poisoned.load(Ordering::Relaxed),
-            live: self.live.load(Ordering::Relaxed),
-            recycled: self.recycled.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Snapshot of [`AllocCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AllocStats {
-    /// Fresh constructions (cumulative; slab misses).
-    pub allocated: u64,
-    /// Slab hits (cumulative; posts that allocated nothing).
-    pub reused: u64,
-    /// Regions retired for good (cumulative).
-    pub dropped: u64,
-    /// Of `dropped`, those retired because their body panicked.
-    pub poisoned: u64,
-    /// Regions currently checked out (gauge).
-    pub live: u64,
-    /// Regions currently resting in the slab (gauge).
-    pub recycled: u64,
 }
 
 impl AllocStats {
@@ -136,20 +97,6 @@ impl AllocStats {
             0.0
         } else {
             self.reused as f64 / total as f64
-        }
-    }
-
-    /// Cumulative-counter growth between an earlier snapshot and this one.
-    /// Gauges (`live`, `recycled`) are carried from `self` unchanged — a
-    /// gauge delta is not meaningful.
-    pub fn since(&self, earlier: &AllocStats) -> AllocStats {
-        AllocStats {
-            allocated: self.allocated.saturating_sub(earlier.allocated),
-            reused: self.reused.saturating_sub(earlier.reused),
-            dropped: self.dropped.saturating_sub(earlier.dropped),
-            poisoned: self.poisoned.saturating_sub(earlier.poisoned),
-            live: self.live,
-            recycled: self.recycled,
         }
     }
 }
@@ -184,7 +131,7 @@ mod tests {
 
         // Reuse the recycled one, then poison-drop it.
         c.record_reuse();
-        c.record_poisoned();
+        c.poisoned.inc();
         c.record_drop();
         let s = c.snapshot();
         assert_eq!(s.reused, 1);

@@ -10,96 +10,24 @@
 //! shows `reused ≫ accepted`; a `connection: close` workload shows
 //! `reused == 0` with `accepted` equal to the request count.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cumulative connection-lifecycle counters. Increments are single relaxed
-/// atomic adds so recording does not perturb the serving hot path.
-#[derive(Debug, Default)]
-pub struct ConnCounters {
-    accepted: AtomicU64,
-    reused: AtomicU64,
-    pipelined: AtomicU64,
-    timed_out_idle: AtomicU64,
-}
-
-impl ConnCounters {
-    /// An all-zero counter set, usable in `static` position.
-    pub const fn new() -> Self {
-        ConnCounters {
-            accepted: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            pipelined: AtomicU64::new(0),
-            timed_out_idle: AtomicU64::new(0),
-        }
+crate::counter_set! {
+    /// Cumulative connection-lifecycle counters. Increments are single
+    /// relaxed atomic adds so recording does not perturb the serving hot
+    /// path.
+    pub struct ConnCounters => ConnStats {
+        /// TCP connections accepted.
+        accepted: Counter,
+        /// Requests served on a connection beyond its first.
+        reused: Counter,
+        /// Requests found already buffered behind the previous one when its
+        /// response went out (true HTTP pipelining, no read wait between).
+        pipelined: Counter,
+        /// Idle keep-alive connections evicted by timeout.
+        timed_out_idle: Counter,
     }
-
-    /// A TCP connection was accepted.
-    pub fn record_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request was served on a connection past its first request.
-    pub fn record_reused(&self) {
-        self.reused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request was already buffered when the previous response went out
-    /// (true HTTP pipelining, no read wait in between).
-    pub fn record_pipelined(&self) {
-        self.pipelined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An idle keep-alive connection was evicted by the idle timeout.
-    pub fn record_timed_out_idle(&self) {
-        self.timed_out_idle.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> ConnStats {
-        ConnStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            reused: self.reused.load(Ordering::Relaxed),
-            pipelined: self.pipelined.load(Ordering::Relaxed),
-            timed_out_idle: self.timed_out_idle.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter. Concurrent increments racing the reset land on
-    /// either side of it; callers that need exact deltas should quiesce the
-    /// server first, or diff two [`snapshot`](Self::snapshot)s instead.
-    pub fn reset(&self) {
-        self.accepted.store(0, Ordering::Relaxed);
-        self.reused.store(0, Ordering::Relaxed);
-        self.pipelined.store(0, Ordering::Relaxed);
-        self.timed_out_idle.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of [`ConnCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConnStats {
-    /// TCP connections accepted.
-    pub accepted: u64,
-    /// Requests served on a connection beyond its first.
-    pub reused: u64,
-    /// Requests found already buffered behind the previous one (pipelined).
-    pub pipelined: u64,
-    /// Idle keep-alive connections evicted by timeout.
-    pub timed_out_idle: u64,
 }
 
 impl ConnStats {
-    /// Counter growth between an earlier snapshot and this one (saturating,
-    /// so a reset in between reads as zero rather than wrapping).
-    pub fn since(&self, earlier: &ConnStats) -> ConnStats {
-        ConnStats {
-            accepted: self.accepted.saturating_sub(earlier.accepted),
-            reused: self.reused.saturating_sub(earlier.reused),
-            pipelined: self.pipelined.saturating_sub(earlier.pipelined),
-            timed_out_idle: self.timed_out_idle.saturating_sub(earlier.timed_out_idle),
-        }
-    }
-
     /// Mean requests served per accepted connection, given a total request
     /// count (`reused` only counts the non-first requests).
     pub fn requests_per_connection(&self) -> f64 {
@@ -115,27 +43,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_start_at_zero() {
-        let c = ConnCounters::new();
-        assert_eq!(c.snapshot(), ConnStats::default());
-    }
-
-    #[test]
-    fn increments_are_visible_in_snapshot() {
-        let c = ConnCounters::new();
-        c.record_accepted();
-        c.record_reused();
-        c.record_reused();
-        c.record_pipelined();
-        c.record_timed_out_idle();
-        let s = c.snapshot();
-        assert_eq!(s.accepted, 1);
-        assert_eq!(s.reused, 2);
-        assert_eq!(s.pipelined, 1);
-        assert_eq!(s.timed_out_idle, 1);
-    }
-
-    #[test]
     fn requests_per_connection_ratio() {
         let s = ConnStats {
             accepted: 10,
@@ -145,40 +52,5 @@ mod tests {
         };
         assert!((s.requests_per_connection() - 5.0).abs() < 1e-9);
         assert_eq!(ConnStats::default().requests_per_connection(), 0.0);
-    }
-
-    #[test]
-    fn reset_zeroes_and_snapshot_delta_works() {
-        let c = ConnCounters::new();
-        c.record_accepted();
-        c.record_reused();
-        let s1 = c.snapshot();
-        c.record_reused();
-        c.record_timed_out_idle();
-        let delta = c.snapshot().since(&s1);
-        assert_eq!(delta.accepted, 0);
-        assert_eq!(delta.reused, 1);
-        assert_eq!(delta.timed_out_idle, 1);
-        c.reset();
-        assert_eq!(c.snapshot(), ConnStats::default());
-    }
-
-    #[test]
-    fn concurrent_increments_conserve_counts() {
-        let c = std::sync::Arc::new(ConnCounters::new());
-        let hs: Vec<_> = (0..4)
-            .map(|_| {
-                let c = std::sync::Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.record_reused();
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-        assert_eq!(c.snapshot().reused, 4000);
     }
 }

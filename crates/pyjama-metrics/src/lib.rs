@@ -11,25 +11,23 @@
 //!   load of virtual users (§V-B). [`ThroughputMeter`] counts completions
 //!   over a wall-clock window.
 //!
-//! The crate additionally provides an [`OccupancyTracker`] used to quantify
-//! *responsiveness* directly: the fraction of wall-clock time the event
-//! dispatch thread (EDT) spends busy inside handlers, which is the quantity
-//! the paper's offloading directives are designed to minimise,
-//! [`ParkCounters`] observing the runtime's wake-driven await barrier
-//! (parks, wakeups, spurious wakeups), [`StealCounters`] observing the
-//! worker pools' work-stealing scheduler (local pops, steals, injector
-//! drains), [`ConnCounters`] observing the HTTP server's persistent
-//! connections (accepts, reuse, pipelining, idle evictions),
-//! [`ReactorCounters`] observing the epoll readiness reactor (registrations,
-//! re-arms, readiness events dispatched vs spurious — with a conservation
-//! law), [`TeamCounters`] observing the fork-join `omp parallel` thread
-//! pool (regions forked, threads spawned vs reused, barrier spins vs parks),
-//! [`VmCounters`] observing the PJ bytecode VM (ops executed, frames
-//! pushed, target/team dispatches — with a conservation law against the
-//! runtime's posted+inline accounting), [`AdmissionCounters`] observing the
-//! overload-shedding front door (`offered == admitted + shed`), and
-//! [`ReconfigCounters`] observing the live control plane (snapshots
-//! applied/rejected, current generation).
+//! [`OccupancyTracker`] quantifies *responsiveness* directly: the fraction
+//! of wall-clock time the event dispatch thread (EDT) spends busy inside
+//! handlers, which is the quantity the paper's offloading directives are
+//! designed to minimise.
+//!
+//! Everything else a subsystem counts is a **counter set**, declared once
+//! with [`counter_set!`]: a list of documented [`Counter`] and [`Gauge`]
+//! fields from which the macro derives the atomic `XCounters`, its
+//! `XStats` snapshot, `snapshot`/`reset`/`since` and `fields()` (see
+//! [`counter_set`](mod@counter_set)). What makes a set more than a tally is
+//! the conservation law written on top of its snapshot, such as the
+//! reactor's `readiness_events == dispatched + spurious_ready` or the
+//! recycler's `allocated == recycled + live + dropped`. The sets declared
+//! here live in one module per subsystem (`admission`, `alloc`, `conn`,
+//! `park`, `reactor`, `reconfig`, `team`, `vm`); the scheduler's
+//! `TargetCounters` is declared next to the virtual targets in
+//! pyjama-runtime.
 //!
 //! Everything here is synchronisation-cheap (atomics or a short
 //! `pyjama_sync` critical section) so that recording does not perturb the
@@ -38,6 +36,7 @@
 pub mod admission;
 pub mod alloc;
 pub mod conn;
+pub mod counter_set;
 pub mod histogram;
 pub mod latency;
 pub mod occupancy;
@@ -45,7 +44,6 @@ pub mod park;
 pub mod reactor;
 pub mod reconfig;
 pub mod stats;
-pub mod steal;
 pub mod team;
 pub mod throughput;
 pub mod timeline;
@@ -54,6 +52,7 @@ pub mod vm;
 pub use admission::{AdmissionCounters, AdmissionStats};
 pub use alloc::{AllocCounters, AllocStats};
 pub use conn::{ConnCounters, ConnStats};
+pub use counter_set::{Counter, Gauge};
 pub use histogram::Histogram;
 pub use latency::LatencyRecorder;
 pub use occupancy::OccupancyTracker;
@@ -61,7 +60,6 @@ pub use park::{ParkCounters, ParkStats};
 pub use reactor::{ReactorCounters, ReactorStats};
 pub use reconfig::{ReconfigCounters, ReconfigStats};
 pub use stats::{OnlineStats, Summary};
-pub use steal::{StealCounters, StealStats};
 pub use team::{TeamCounters, TeamStats};
 pub use throughput::ThroughputMeter;
 pub use timeline::{Timeline, TimelineEvent, TimelineEventKind};

@@ -8,155 +8,21 @@
 //! `parks` and a small `spurious_wakes` fraction; a regression back towards
 //! polling would show up as `parks` vastly exceeding `notifies`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cumulative parker counters. Increments are single relaxed atomic adds so
-/// recording does not perturb the wake path being measured.
-#[derive(Debug, Default)]
-pub struct ParkCounters {
-    parks: AtomicU64,
-    wakes: AtomicU64,
-    notifies: AtomicU64,
-    spurious_wakes: AtomicU64,
-}
-
-impl ParkCounters {
-    /// An all-zero counter set, usable in `static` position.
-    pub const fn new() -> Self {
-        ParkCounters {
-            parks: AtomicU64::new(0),
-            wakes: AtomicU64::new(0),
-            notifies: AtomicU64::new(0),
-            spurious_wakes: AtomicU64::new(0),
-        }
-    }
-
-    /// A thread blocked (entered a condvar wait) with nothing to do.
-    pub fn record_park(&self) {
-        self.parks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A blocked thread was released by a notification (not by a deadline).
-    pub fn record_wake(&self) {
-        self.wakes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A wake source fired (whether or not anyone was blocked).
-    pub fn record_notify(&self) {
-        self.notifies.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A wakeup was consumed but the woken thread found neither completed
-    /// work nor anything to help with.
-    pub fn record_spurious(&self) {
-        self.spurious_wakes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> ParkStats {
-        ParkStats {
-            parks: self.parks.load(Ordering::Relaxed),
-            wakes: self.wakes.load(Ordering::Relaxed),
-            notifies: self.notifies.load(Ordering::Relaxed),
-            spurious_wakes: self.spurious_wakes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter. Concurrent increments racing the reset land on
-    /// either side of it; callers that need exact deltas should quiesce the
-    /// measured activity first, or diff two [`snapshot`](Self::snapshot)s
-    /// instead.
-    pub fn reset(&self) {
-        self.parks.store(0, Ordering::Relaxed);
-        self.wakes.store(0, Ordering::Relaxed);
-        self.notifies.store(0, Ordering::Relaxed);
-        self.spurious_wakes.store(0, Ordering::Relaxed);
-    }
-}
-
-impl ParkStats {
-    /// Counter growth between an earlier snapshot and this one (saturating,
-    /// so a reset in between reads as zero rather than wrapping).
-    pub fn since(&self, earlier: &ParkStats) -> ParkStats {
-        ParkStats {
-            parks: self.parks.saturating_sub(earlier.parks),
-            wakes: self.wakes.saturating_sub(earlier.wakes),
-            notifies: self.notifies.saturating_sub(earlier.notifies),
-            spurious_wakes: self.spurious_wakes.saturating_sub(earlier.spurious_wakes),
-        }
-    }
-}
-
-/// Snapshot of [`ParkCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParkStats {
-    /// Times a thread actually blocked awaiting a wakeup.
-    pub parks: u64,
-    /// Times a blocked thread was released by a notification.
-    pub wakes: u64,
-    /// Total notifications sent by wake sources.
-    pub notifies: u64,
-    /// Wakeups that delivered no work.
-    pub spurious_wakes: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counters_start_at_zero() {
-        let c = ParkCounters::new();
-        assert_eq!(c.snapshot(), ParkStats::default());
-    }
-
-    #[test]
-    fn increments_are_visible_in_snapshot() {
-        let c = ParkCounters::new();
-        c.record_park();
-        c.record_park();
-        c.record_wake();
-        c.record_notify();
-        c.record_spurious();
-        let s = c.snapshot();
-        assert_eq!(s.parks, 2);
-        assert_eq!(s.wakes, 1);
-        assert_eq!(s.notifies, 1);
-        assert_eq!(s.spurious_wakes, 1);
-    }
-
-    #[test]
-    fn reset_zeroes_and_snapshot_delta_works() {
-        let c = ParkCounters::new();
-        c.record_park();
-        c.record_notify();
-        let s1 = c.snapshot();
-        c.record_park();
-        c.record_wake();
-        let delta = c.snapshot().since(&s1);
-        assert_eq!(delta.parks, 1);
-        assert_eq!(delta.wakes, 1);
-        assert_eq!(delta.notifies, 0);
-        c.reset();
-        assert_eq!(c.snapshot(), ParkStats::default());
-    }
-
-    #[test]
-    fn concurrent_increments_conserve_counts() {
-        let c = std::sync::Arc::new(ParkCounters::new());
-        let hs: Vec<_> = (0..4)
-            .map(|_| {
-                let c = std::sync::Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.record_notify();
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-        assert_eq!(c.snapshot().notifies, 4000);
+crate::counter_set! {
+    /// Cumulative parker counters. Increments are single relaxed atomic adds
+    /// so recording does not perturb the wake path being measured.
+    pub struct ParkCounters => ParkStats {
+        /// Times a thread actually blocked (entered a condvar wait) with
+        /// nothing to do.
+        parks: Counter,
+        /// Times a blocked thread was released by a notification (not by a
+        /// deadline).
+        wakes: Counter,
+        /// Notifications sent by wake sources, whether or not anyone was
+        /// blocked.
+        notifies: Counter,
+        /// Wakeups consumed by a thread that then found neither completed
+        /// work nor anything to help with.
+        spurious_wakes: Counter,
     }
 }

@@ -17,148 +17,34 @@
 //! counted — exactly the class of bug an ownership-transfer reactor can
 //! hide for a long time.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cumulative reactor counters. Increments are single relaxed atomic adds
-/// so recording does not perturb the readiness hot path.
-#[derive(Debug, Default)]
-pub struct ReactorCounters {
-    registered: AtomicU64,
-    rearms_read: AtomicU64,
-    rearms_write: AtomicU64,
-    readiness_events: AtomicU64,
-    dispatched: AtomicU64,
-    spurious_ready: AtomicU64,
-    evicted_idle: AtomicU64,
-    wakeups: AtomicU64,
-}
-
-impl ReactorCounters {
-    /// An all-zero counter set, usable in `static` position.
-    pub const fn new() -> Self {
-        ReactorCounters {
-            registered: AtomicU64::new(0),
-            rearms_read: AtomicU64::new(0),
-            rearms_write: AtomicU64::new(0),
-            readiness_events: AtomicU64::new(0),
-            dispatched: AtomicU64::new(0),
-            spurious_ready: AtomicU64::new(0),
-            evicted_idle: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-        }
+crate::counter_set! {
+    /// Cumulative reactor counters. Increments are single relaxed atomic
+    /// adds so recording does not perturb the readiness hot path.
+    pub struct ReactorCounters => ReactorStats {
+        /// Connections registered with the reactor for the first time.
+        registered: Counter,
+        /// Read-interest re-registrations: a served connection waiting for
+        /// its next request, or for the rest of a partially-received one.
+        rearms_read: Counter,
+        /// Write-interest re-registrations after a short response write
+        /// (`EPOLLOUT` re-arm: the response did not fit the socket buffer).
+        rearms_write: Counter,
+        /// Readiness notifications consumed for connection tokens
+        /// (wake-pipe traffic is counted separately as `wakeups`).
+        readiness_events: Counter,
+        /// Notifications that dispatched a connection into the worker pool.
+        dispatched: Counter,
+        /// Notifications whose token had no registration behind it.
+        spurious_ready: Counter,
+        /// Idle connections evicted at their deadline.
+        evicted_idle: Counter,
+        /// Wake-pipe wakeups (only `stop` writes the pipe: registering a
+        /// connection wakes nobody).
+        wakeups: Counter,
     }
-
-    /// A connection entered the reactor for the first time.
-    pub fn record_registered(&self) {
-        self.registered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A served connection re-registered for read readiness (waiting for
-    /// its next request, or for the rest of a partially-received one).
-    pub fn record_rearm_read(&self) {
-        self.rearms_read.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection re-registered for write readiness after a short write
-    /// (`EPOLLOUT` re-arm: the response did not fit the socket buffer).
-    pub fn record_rearm_write(&self) {
-        self.rearms_write.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The reactor consumed one readiness notification for a connection
-    /// token (wake-pipe traffic is counted separately as `wakeups`).
-    pub fn record_readiness_event(&self) {
-        self.readiness_events.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A readiness notification dispatched its connection into the pool.
-    pub fn record_dispatched(&self) {
-        self.dispatched.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A readiness notification found no registration behind its token.
-    pub fn record_spurious_ready(&self) {
-        self.spurious_ready.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// An idle keep-alive connection was evicted at its deadline.
-    pub fn record_evicted_idle(&self) {
-        self.evicted_idle.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The reactor was woken through its wake pipe (only `stop` writes it:
-    /// registering a connection wakes nobody).
-    pub fn record_wakeup(&self) {
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> ReactorStats {
-        ReactorStats {
-            registered: self.registered.load(Ordering::Relaxed),
-            rearms_read: self.rearms_read.load(Ordering::Relaxed),
-            rearms_write: self.rearms_write.load(Ordering::Relaxed),
-            readiness_events: self.readiness_events.load(Ordering::Relaxed),
-            dispatched: self.dispatched.load(Ordering::Relaxed),
-            spurious_ready: self.spurious_ready.load(Ordering::Relaxed),
-            evicted_idle: self.evicted_idle.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter. Concurrent increments racing the reset land on
-    /// either side of it; quiesce the reactor first for exact figures.
-    pub fn reset(&self) {
-        self.registered.store(0, Ordering::Relaxed);
-        self.rearms_read.store(0, Ordering::Relaxed);
-        self.rearms_write.store(0, Ordering::Relaxed);
-        self.readiness_events.store(0, Ordering::Relaxed);
-        self.dispatched.store(0, Ordering::Relaxed);
-        self.spurious_ready.store(0, Ordering::Relaxed);
-        self.evicted_idle.store(0, Ordering::Relaxed);
-        self.wakeups.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of [`ReactorCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReactorStats {
-    /// Connections registered with the reactor for the first time.
-    pub registered: u64,
-    /// Read-interest re-registrations (next request / rest of a request).
-    pub rearms_read: u64,
-    /// Write-interest re-registrations after a short response write.
-    pub rearms_write: u64,
-    /// Readiness notifications consumed for connection tokens.
-    pub readiness_events: u64,
-    /// Notifications that dispatched a connection into the worker pool.
-    pub dispatched: u64,
-    /// Notifications whose token had no registration behind it.
-    pub spurious_ready: u64,
-    /// Idle connections evicted at their deadline.
-    pub evicted_idle: u64,
-    /// Wake-pipe wakeups (stop only).
-    pub wakeups: u64,
 }
 
 impl ReactorStats {
-    /// Counter growth between an earlier snapshot and this one (saturating,
-    /// so a reset in between reads as zero rather than wrapping).
-    pub fn since(&self, earlier: &ReactorStats) -> ReactorStats {
-        ReactorStats {
-            registered: self.registered.saturating_sub(earlier.registered),
-            rearms_read: self.rearms_read.saturating_sub(earlier.rearms_read),
-            rearms_write: self.rearms_write.saturating_sub(earlier.rearms_write),
-            readiness_events: self
-                .readiness_events
-                .saturating_sub(earlier.readiness_events),
-            dispatched: self.dispatched.saturating_sub(earlier.dispatched),
-            spurious_ready: self.spurious_ready.saturating_sub(earlier.spurious_ready),
-            evicted_idle: self.evicted_idle.saturating_sub(earlier.evicted_idle),
-            wakeups: self.wakeups.saturating_sub(earlier.wakeups),
-        }
-    }
-
     /// Total re-registrations, whatever the interest.
     pub fn rearms(&self) -> u64 {
         self.rearms_read + self.rearms_write
@@ -177,87 +63,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_start_at_zero_and_balanced() {
-        let c = ReactorCounters::new();
-        let s = c.snapshot();
-        assert_eq!(s, ReactorStats::default());
-        assert!(s.readiness_balanced());
-    }
-
-    #[test]
-    fn increments_are_visible_and_law_holds() {
-        let c = ReactorCounters::new();
-        c.record_registered();
-        c.record_rearm_read();
-        c.record_rearm_read();
-        c.record_rearm_write();
-        for _ in 0..4 {
-            c.record_readiness_event();
-            c.record_dispatched();
-        }
-        c.record_readiness_event();
-        c.record_spurious_ready();
-        c.record_evicted_idle();
-        c.record_wakeup();
-        let s = c.snapshot();
-        assert_eq!(s.registered, 1);
-        assert_eq!(s.rearms_read, 2);
-        assert_eq!(s.rearms_write, 1);
-        assert_eq!(s.rearms(), 3);
-        assert_eq!(s.readiness_events, 5);
-        assert_eq!(s.dispatched, 4);
-        assert_eq!(s.spurious_ready, 1);
-        assert_eq!(s.evicted_idle, 1);
-        assert_eq!(s.wakeups, 1);
-        assert!(s.readiness_balanced());
-    }
-
-    #[test]
     fn law_violation_is_detected() {
         let c = ReactorCounters::new();
-        c.record_readiness_event();
+        c.readiness_events.inc();
         assert!(!c.snapshot().readiness_balanced(), "consumed but not accounted");
-        c.record_dispatched();
+        c.dispatched.inc();
         assert!(c.snapshot().readiness_balanced());
     }
 
     #[test]
-    fn since_and_reset() {
+    fn rearms_counts_both_interests() {
         let c = ReactorCounters::new();
-        c.record_registered();
-        c.record_readiness_event();
-        c.record_dispatched();
-        let s1 = c.snapshot();
-        c.record_readiness_event();
-        c.record_spurious_ready();
-        let delta = c.snapshot().since(&s1);
-        assert_eq!(delta.registered, 0);
-        assert_eq!(delta.readiness_events, 1);
-        assert_eq!(delta.spurious_ready, 1);
-        assert!(delta.readiness_balanced());
-        c.reset();
-        assert_eq!(c.snapshot(), ReactorStats::default());
-    }
-
-    #[test]
-    fn concurrent_increments_conserve_counts() {
-        let c = std::sync::Arc::new(ReactorCounters::new());
-        let hs: Vec<_> = (0..4)
-            .map(|_| {
-                let c = std::sync::Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.record_readiness_event();
-                        c.record_dispatched();
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-        let s = c.snapshot();
-        assert_eq!(s.readiness_events, 4000);
-        assert!(s.readiness_balanced());
+        c.rearms_read.add(2);
+        c.rearms_write.inc();
+        assert_eq!(c.snapshot().rearms(), 3);
     }
 }

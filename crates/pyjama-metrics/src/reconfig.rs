@@ -9,92 +9,31 @@
 //! reconfiguration was applied during this window" without reaching into
 //! the control plane's internals.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cumulative control-plane counters. Increments are single relaxed atomic
-/// adds; reconfiguration is rare, but the counters follow the same
-/// zero-perturbation idiom as the data-plane counter sets.
-#[derive(Debug, Default)]
-pub struct ReconfigCounters {
-    applied: AtomicU64,
-    rejected: AtomicU64,
-    subscribers_notified: AtomicU64,
-    generation: AtomicU64,
+crate::counter_set! {
+    /// Cumulative control-plane counters. Reconfiguration is rare, but the
+    /// counters follow the same zero-perturbation idiom as the data-plane
+    /// counter sets.
+    pub struct ReconfigCounters => ReconfigStats {
+        /// Snapshots validated and published.
+        applied: Counter,
+        /// Snapshots rejected by validation.
+        rejected: Counter,
+        /// Subscriber callbacks run across all published snapshots.
+        subscribers_notified: Counter,
+        /// Current config generation (0 = still on the initial config). It
+        /// mirrors the control plane's monotonic generation, which never
+        /// goes backwards while the process lives, so `reset` keeps it and
+        /// `since` reports it rather than a delta.
+        generation: Gauge,
+    }
 }
 
 impl ReconfigCounters {
-    /// An all-zero counter set, usable in `static` position.
-    pub const fn new() -> Self {
-        ReconfigCounters {
-            applied: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            subscribers_notified: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-        }
-    }
-
     /// A validated snapshot was published; `generation` is the new current
     /// generation.
     pub fn record_applied(&self, generation: u64) {
-        self.applied.fetch_add(1, Ordering::Relaxed);
-        self.generation.store(generation, Ordering::Relaxed);
-    }
-
-    /// A candidate snapshot failed validation and was not published.
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One subscriber callback was run for a published snapshot.
-    pub fn record_subscriber_notified(&self) {
-        self.subscribers_notified.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> ReconfigStats {
-        ReconfigStats {
-            applied: self.applied.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            subscribers_notified: self.subscribers_notified.load(Ordering::Relaxed),
-            generation: self.generation.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes the event counters. The `generation` value is *not* reset —
-    /// it mirrors the control plane's monotonic generation, which never
-    /// goes backwards while the process lives.
-    pub fn reset(&self) {
-        self.applied.store(0, Ordering::Relaxed);
-        self.rejected.store(0, Ordering::Relaxed);
-        self.subscribers_notified.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of [`ReconfigCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReconfigStats {
-    /// Snapshots validated and published.
-    pub applied: u64,
-    /// Snapshots rejected by validation.
-    pub rejected: u64,
-    /// Subscriber callbacks run across all published snapshots.
-    pub subscribers_notified: u64,
-    /// Current config generation (0 = still on the initial config).
-    pub generation: u64,
-}
-
-impl ReconfigStats {
-    /// Counter growth between an earlier snapshot and this one. The
-    /// `generation` field carries the *current* generation, not a delta.
-    pub fn since(&self, earlier: &ReconfigStats) -> ReconfigStats {
-        ReconfigStats {
-            applied: self.applied.saturating_sub(earlier.applied),
-            rejected: self.rejected.saturating_sub(earlier.rejected),
-            subscribers_notified: self
-                .subscribers_notified
-                .saturating_sub(earlier.subscribers_notified),
-            generation: self.generation,
-        }
+        self.applied.inc();
+        self.generation.set(generation);
     }
 }
 
@@ -103,19 +42,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_start_at_zero() {
-        let c = ReconfigCounters::new();
-        assert_eq!(c.snapshot(), ReconfigStats::default());
-    }
-
-    #[test]
     fn applied_tracks_generation() {
         let c = ReconfigCounters::new();
         c.record_applied(1);
-        c.record_rejected();
+        c.rejected.inc();
         c.record_applied(2);
-        c.record_subscriber_notified();
-        c.record_subscriber_notified();
+        c.subscribers_notified.inc();
+        c.subscribers_notified.inc();
         let s = c.snapshot();
         assert_eq!(s.applied, 2);
         assert_eq!(s.rejected, 1);
@@ -139,7 +72,7 @@ mod tests {
         c.record_applied(1);
         let s1 = c.snapshot();
         c.record_applied(2);
-        c.record_rejected();
+        c.rejected.inc();
         let d = c.snapshot().since(&s1);
         assert_eq!(d.applied, 1);
         assert_eq!(d.rejected, 1);

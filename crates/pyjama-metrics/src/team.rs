@@ -21,134 +21,29 @@
 //! ([`TeamStats::activations_conserved`]; asserted by the root
 //! `omp_pool` acceptance tests).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cumulative fork-join pool counters. Increments are single relaxed
-/// atomic adds so recording does not perturb the region hot path.
-#[derive(Debug, Default)]
-pub struct TeamCounters {
-    regions_forked: AtomicU64,
-    regions_hot: AtomicU64,
-    threads_spawned: AtomicU64,
-    threads_reused: AtomicU64,
-    member_activations: AtomicU64,
-    barrier_spins: AtomicU64,
-    barrier_parks: AtomicU64,
-}
-
-impl TeamCounters {
-    /// An all-zero counter set, usable in `static` position.
-    pub const fn new() -> Self {
-        TeamCounters {
-            regions_forked: AtomicU64::new(0),
-            regions_hot: AtomicU64::new(0),
-            threads_spawned: AtomicU64::new(0),
-            threads_reused: AtomicU64::new(0),
-            member_activations: AtomicU64::new(0),
-            barrier_spins: AtomicU64::new(0),
-            barrier_parks: AtomicU64::new(0),
-        }
+crate::counter_set! {
+    /// Cumulative fork-join pool counters. Increments are single relaxed
+    /// atomic adds so recording does not perturb the region hot path.
+    pub struct TeamCounters => TeamStats {
+        /// Parallel regions forked (any team size, pooled or serial).
+        regions_forked: Counter,
+        /// Regions served by the caller's cached hot team (lease skipped).
+        regions_hot: Counter,
+        /// OS threads the pool spawned.
+        threads_spawned: Counter,
+        /// Member activations served by an already-running pooled thread.
+        threads_reused: Counter,
+        /// Team-member activations on pool workers (the caller/master is not
+        /// counted: it is neither spawned nor leased).
+        member_activations: Counter,
+        /// Barrier waits that resolved inside the spin budget.
+        barrier_spins: Counter,
+        /// Barrier waits that parked after exhausting the spin budget.
+        barrier_parks: Counter,
     }
-
-    /// A parallel region forked (any team size, pooled or serial).
-    pub fn record_region_forked(&self) {
-        self.regions_forked.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A region reused the caller's cached hot team (no lease round-trip).
-    pub fn record_region_hot(&self) {
-        self.regions_hot.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The pool spawned a new OS worker thread.
-    pub fn record_thread_spawned(&self) {
-        self.threads_spawned.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A member activation was served by an already-running pooled thread.
-    pub fn record_thread_reused(&self) {
-        self.threads_reused.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A pool worker started running a team member for one region.
-    pub fn record_member_activation(&self) {
-        self.member_activations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A barrier wait resolved within its bounded spin phase.
-    pub fn record_barrier_spin(&self) {
-        self.barrier_spins.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A barrier wait exhausted its spin budget and parked.
-    pub fn record_barrier_park(&self) {
-        self.barrier_parks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> TeamStats {
-        TeamStats {
-            regions_forked: self.regions_forked.load(Ordering::Relaxed),
-            regions_hot: self.regions_hot.load(Ordering::Relaxed),
-            threads_spawned: self.threads_spawned.load(Ordering::Relaxed),
-            threads_reused: self.threads_reused.load(Ordering::Relaxed),
-            member_activations: self.member_activations.load(Ordering::Relaxed),
-            barrier_spins: self.barrier_spins.load(Ordering::Relaxed),
-            barrier_parks: self.barrier_parks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter. Increments racing the reset land on either
-    /// side of it; quiesce all regions first for exact figures, or diff
-    /// two [`snapshot`](Self::snapshot)s with [`TeamStats::since`].
-    pub fn reset(&self) {
-        self.regions_forked.store(0, Ordering::Relaxed);
-        self.regions_hot.store(0, Ordering::Relaxed);
-        self.threads_spawned.store(0, Ordering::Relaxed);
-        self.threads_reused.store(0, Ordering::Relaxed);
-        self.member_activations.store(0, Ordering::Relaxed);
-        self.barrier_spins.store(0, Ordering::Relaxed);
-        self.barrier_parks.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of [`TeamCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TeamStats {
-    /// Parallel regions forked (including single-thread regions).
-    pub regions_forked: u64,
-    /// Regions served by the caller's cached hot team (lease skipped).
-    pub regions_hot: u64,
-    /// OS threads the pool spawned.
-    pub threads_spawned: u64,
-    /// Member activations served by an existing pooled thread.
-    pub threads_reused: u64,
-    /// Team-member activations on pool workers (the caller/master is not
-    /// counted: it is neither spawned nor leased).
-    pub member_activations: u64,
-    /// Barrier waits that resolved inside the spin budget.
-    pub barrier_spins: u64,
-    /// Barrier waits that parked after exhausting the spin budget.
-    pub barrier_parks: u64,
 }
 
 impl TeamStats {
-    /// Counter growth between an earlier snapshot and this one (saturating,
-    /// so a reset in between reads as zero rather than wrapping).
-    pub fn since(&self, earlier: &TeamStats) -> TeamStats {
-        TeamStats {
-            regions_forked: self.regions_forked.saturating_sub(earlier.regions_forked),
-            regions_hot: self.regions_hot.saturating_sub(earlier.regions_hot),
-            threads_spawned: self.threads_spawned.saturating_sub(earlier.threads_spawned),
-            threads_reused: self.threads_reused.saturating_sub(earlier.threads_reused),
-            member_activations: self
-                .member_activations
-                .saturating_sub(earlier.member_activations),
-            barrier_spins: self.barrier_spins.saturating_sub(earlier.barrier_spins),
-            barrier_parks: self.barrier_parks.saturating_sub(earlier.barrier_parks),
-        }
-    }
-
     /// The pool's conservation law: with all regions joined, every member
     /// activation consumed exactly one spawn or one reuse.
     pub fn activations_conserved(&self) -> bool {
@@ -161,90 +56,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_start_at_zero() {
-        let c = TeamCounters::new();
-        assert_eq!(c.snapshot(), TeamStats::default());
-        assert!(c.snapshot().activations_conserved());
-    }
-
-    #[test]
-    fn increments_are_visible_in_snapshot() {
-        let c = TeamCounters::new();
-        c.record_region_forked();
-        c.record_region_forked();
-        c.record_region_hot();
-        c.record_thread_spawned();
-        c.record_thread_reused();
-        c.record_thread_reused();
-        c.record_member_activation();
-        c.record_member_activation();
-        c.record_member_activation();
-        c.record_barrier_spin();
-        c.record_barrier_park();
-        let s = c.snapshot();
-        assert_eq!(s.regions_forked, 2);
-        assert_eq!(s.regions_hot, 1);
-        assert_eq!(s.threads_spawned, 1);
-        assert_eq!(s.threads_reused, 2);
-        assert_eq!(s.member_activations, 3);
-        assert_eq!(s.barrier_spins, 1);
-        assert_eq!(s.barrier_parks, 1);
-        assert!(s.activations_conserved());
-    }
-
-    #[test]
-    fn reset_zeroes_and_since_deltas() {
-        let c = TeamCounters::new();
-        c.record_region_forked();
-        c.record_thread_spawned();
-        let s1 = c.snapshot();
-        c.record_region_forked();
-        c.record_region_hot();
-        c.record_thread_reused();
-        c.record_member_activation();
-        let delta = c.snapshot().since(&s1);
-        assert_eq!(delta.regions_forked, 1);
-        assert_eq!(delta.regions_hot, 1);
-        assert_eq!(delta.threads_spawned, 0);
-        assert_eq!(delta.threads_reused, 1);
-        assert_eq!(delta.member_activations, 1);
-        assert!(delta.activations_conserved());
-        c.reset();
-        assert_eq!(c.snapshot(), TeamStats::default());
-    }
-
-    #[test]
     fn conservation_law_detects_imbalance() {
         let c = TeamCounters::new();
-        c.record_thread_spawned();
+        c.threads_spawned.inc();
         assert!(
             !c.snapshot().activations_conserved(),
             "a spawn with no activation must violate the law"
         );
-        c.record_member_activation();
+        c.member_activations.inc();
         assert!(c.snapshot().activations_conserved());
-    }
-
-    #[test]
-    fn concurrent_increments_conserve_counts() {
-        let c = std::sync::Arc::new(TeamCounters::new());
-        let hs: Vec<_> = (0..4)
-            .map(|_| {
-                let c = std::sync::Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.record_member_activation();
-                        c.record_thread_reused();
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-        let s = c.snapshot();
-        assert_eq!(s.member_activations, 4000);
-        assert_eq!(s.threads_reused, 4000);
-        assert!(s.activations_conserved());
     }
 }

@@ -19,100 +19,25 @@
 //! dispatch loop and flushed once per VM entry, so the per-op cost is a
 //! register increment, not an atomic.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cumulative VM counters. Increments are relaxed atomic adds (batched for
-/// the per-op counters) so recording does not perturb the dispatch loop.
-#[derive(Debug, Default)]
-pub struct VmCounters {
-    ops_executed: AtomicU64,
-    frames_pushed: AtomicU64,
-    target_dispatches: AtomicU64,
-    team_regions: AtomicU64,
-}
-
-impl VmCounters {
-    /// An all-zero counter set, usable in `static` position.
-    pub const fn new() -> Self {
-        VmCounters {
-            ops_executed: AtomicU64::new(0),
-            frames_pushed: AtomicU64::new(0),
-            target_dispatches: AtomicU64::new(0),
-            team_regions: AtomicU64::new(0),
-        }
+crate::counter_set! {
+    /// Cumulative VM counters. Increments are relaxed atomic adds (batched
+    /// for the per-op counters) so recording does not perturb the dispatch
+    /// loop.
+    pub struct VmCounters => VmStats {
+        /// Bytecode ops executed by dispatch loops (flushed once per VM
+        /// entry).
+        ops_executed: Counter,
+        /// Call frames pushed, one per chunk entry: calls, closures, loop
+        /// bodies (flushed once per VM entry).
+        frames_pushed: Counter,
+        /// `target` directives dispatched through `Runtime::try_target`.
+        target_dispatches: Counter,
+        /// `parallel` / `parallel for` teams forked.
+        team_regions: Counter,
     }
-
-    /// Adds a batch of executed ops (flushed once per VM entry).
-    pub fn add_ops(&self, n: u64) {
-        if n > 0 {
-            self.ops_executed.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds a batch of pushed call frames (flushed once per VM entry).
-    pub fn add_frames(&self, n: u64) {
-        if n > 0 {
-            self.frames_pushed.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// A `target` directive dispatched through `Runtime::try_target`.
-    pub fn record_target_dispatch(&self) {
-        self.target_dispatches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A `parallel` / `parallel for` region forked a team.
-    pub fn record_team_region(&self) {
-        self.team_regions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> VmStats {
-        VmStats {
-            ops_executed: self.ops_executed.load(Ordering::Relaxed),
-            frames_pushed: self.frames_pushed.load(Ordering::Relaxed),
-            target_dispatches: self.target_dispatches.load(Ordering::Relaxed),
-            team_regions: self.team_regions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter. Concurrent increments racing the reset land on
-    /// either side of it; quiesce the VM first for exact figures.
-    pub fn reset(&self) {
-        self.ops_executed.store(0, Ordering::Relaxed);
-        self.frames_pushed.store(0, Ordering::Relaxed);
-        self.target_dispatches.store(0, Ordering::Relaxed);
-        self.team_regions.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Snapshot of [`VmCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VmStats {
-    /// Bytecode ops executed by dispatch loops.
-    pub ops_executed: u64,
-    /// Call frames pushed (one per chunk entry: calls, closures, loop bodies).
-    pub frames_pushed: u64,
-    /// `target` directives dispatched through the runtime.
-    pub target_dispatches: u64,
-    /// `parallel` / `parallel for` teams forked.
-    pub team_regions: u64,
 }
 
 impl VmStats {
-    /// Counter growth between an earlier snapshot and this one (saturating,
-    /// so a reset in between reads as zero rather than wrapping).
-    pub fn since(&self, earlier: &VmStats) -> VmStats {
-        VmStats {
-            ops_executed: self.ops_executed.saturating_sub(earlier.ops_executed),
-            frames_pushed: self.frames_pushed.saturating_sub(earlier.frames_pushed),
-            target_dispatches: self
-                .target_dispatches
-                .saturating_sub(earlier.target_dispatches),
-            team_regions: self.team_regions.saturating_sub(earlier.team_regions),
-        }
-    }
-
     /// The VM conservation law: every `target` dispatch the VM recorded must
     /// be accounted by the runtime as posted or inline. `runtime_dispatches`
     /// is `Σ (posted + inline)` over the run's virtual targets (the
@@ -128,78 +53,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_start_at_zero_and_balanced() {
-        let c = VmCounters::new();
-        let s = c.snapshot();
-        assert_eq!(s, VmStats::default());
-        assert!(s.dispatches_balanced(0));
-    }
-
-    #[test]
-    fn increments_and_batches_are_visible() {
-        let c = VmCounters::new();
-        c.add_ops(128);
-        c.add_ops(0); // zero batches are elided, not an error
-        c.add_frames(3);
-        c.record_target_dispatch();
-        c.record_target_dispatch();
-        c.record_team_region();
-        let s = c.snapshot();
-        assert_eq!(s.ops_executed, 128);
-        assert_eq!(s.frames_pushed, 3);
-        assert_eq!(s.target_dispatches, 2);
-        assert_eq!(s.team_regions, 1);
-        assert!(s.dispatches_balanced(2));
-    }
-
-    #[test]
     fn law_violation_is_detected() {
         let c = VmCounters::new();
-        c.record_target_dispatch();
+        c.target_dispatches.inc();
         assert!(
             !c.snapshot().dispatches_balanced(0),
             "dispatch the runtime never saw"
         );
         assert!(!c.snapshot().dispatches_balanced(2), "double-counted dispatch");
         assert!(c.snapshot().dispatches_balanced(1));
-    }
-
-    #[test]
-    fn since_and_reset() {
-        let c = VmCounters::new();
-        c.add_ops(10);
-        c.record_target_dispatch();
-        let s1 = c.snapshot();
-        c.add_ops(5);
-        c.record_team_region();
-        let delta = c.snapshot().since(&s1);
-        assert_eq!(delta.ops_executed, 5);
-        assert_eq!(delta.target_dispatches, 0);
-        assert_eq!(delta.team_regions, 1);
-        c.reset();
-        assert_eq!(c.snapshot(), VmStats::default());
-    }
-
-    #[test]
-    fn concurrent_batches_conserve_counts() {
-        let c = std::sync::Arc::new(VmCounters::new());
-        let hs: Vec<_> = (0..4)
-            .map(|_| {
-                let c = std::sync::Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        c.add_ops(3);
-                        c.record_target_dispatch();
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-        let s = c.snapshot();
-        assert_eq!(s.ops_executed, 12000);
-        assert_eq!(s.target_dispatches, 4000);
-        assert!(s.dispatches_balanced(4000));
     }
 }

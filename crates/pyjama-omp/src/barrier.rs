@@ -123,7 +123,7 @@ impl Barrier {
         let mut spins = 0u32;
         while spins < limit {
             if self.generation.load(Ordering::SeqCst) != gen {
-                COUNTERS.record_barrier_spin();
+                COUNTERS.barrier_spins.inc();
                 return;
             }
             std::hint::spin_loop();
@@ -131,7 +131,7 @@ impl Barrier {
         }
         let mut g = self.lock.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        COUNTERS.record_barrier_park();
+        COUNTERS.barrier_parks.inc();
         while self.generation.load(Ordering::SeqCst) == gen {
             self.cond.wait(&mut g);
         }

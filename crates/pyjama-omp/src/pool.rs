@@ -228,14 +228,14 @@ impl Worker {
             if !self.slot.done.load(Ordering::SeqCst) {
                 if !parked {
                     parked = true;
-                    COUNTERS.record_barrier_park();
+                    COUNTERS.barrier_parks.inc();
                 }
                 self.slot.cond.wait(&mut g);
             }
             self.slot.joiner_parked.store(false, Ordering::SeqCst);
         }
         if !parked {
-            COUNTERS.record_barrier_spin();
+            COUNTERS.barrier_spins.inc();
         }
         self.slot.done.store(false, Ordering::SeqCst);
     }
@@ -244,11 +244,11 @@ impl Worker {
 fn worker_loop(me: Arc<Worker>) {
     loop {
         let (job, tid) = me.next_job();
-        COUNTERS.record_member_activation();
+        COUNTERS.member_activations.inc();
         if me.fresh.swap(false, Ordering::Relaxed) {
             // This activation consumed the spawn recorded at thread birth.
         } else {
-            COUNTERS.record_thread_reused();
+            COUNTERS.threads_reused.inc();
         }
         // `Job::run` executes `Team::run_member`, which catches member
         // panics itself; a panic escaping here would mean we could never
@@ -271,7 +271,7 @@ static POOL: Mutex<Vec<Arc<Worker>>> = Mutex::new(Vec::new());
 static WORKER_SEQ: AtomicUsize = AtomicUsize::new(0);
 
 fn spawn_worker() -> Arc<Worker> {
-    COUNTERS.record_thread_spawned();
+    COUNTERS.threads_spawned.inc();
     let w = Arc::new(Worker::new());
     let runner = Arc::clone(&w);
     let seq = WORKER_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -343,7 +343,7 @@ pub(crate) fn with_workers<R>(k: usize, body: impl FnOnce(&[Arc<Worker>], bool) 
         (lease(k), false)
     };
     if hot {
-        COUNTERS.record_region_hot();
+        COUNTERS.regions_hot.inc();
     }
     let r = body(&workers, hot);
     // Only reached when every published job has joined (body ends with the

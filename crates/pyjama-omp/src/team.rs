@@ -331,7 +331,7 @@ where
     F: for<'t> Fn(&Ctx<'t, 'env>) + Sync + 'env,
 {
     assert!(num_threads > 0, "a team needs at least one thread");
-    COUNTERS.record_region_forked();
+    COUNTERS.regions_forked.inc();
     let trace = TraceId::mint();
     pyjama_trace::emit(trace, Stage::TeamFork, num_threads as u32);
 

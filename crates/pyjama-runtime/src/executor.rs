@@ -6,10 +6,7 @@
 //! thread pools ([`crate::WorkerTarget`]) and registered event-dispatch
 //! threads ([`crate::EdtTarget`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use pyjama_metrics::steal::StealCounters;
 
 use crate::task::TargetRegion;
 
@@ -56,117 +53,105 @@ pub trait VirtualTarget: Send + Sync {
     fn stats(&self) -> TargetStats;
 }
 
-/// Per-target counters.
-#[derive(Debug, Default)]
-pub struct TargetStatsInner {
-    /// Blocks posted asynchronously.
-    pub posted: AtomicU64,
-    /// Blocks run synchronously because the encountering thread was already
-    /// a member (Algorithm 1 line 7).
-    pub inline: AtomicU64,
-    /// Blocks executed by the target's own threads.
-    pub executed: AtomicU64,
-    /// Blocks executed by a member thread *helping* during an await barrier.
-    pub helped: AtomicU64,
-    /// Blocks rejected (cancelled without running) because the target could
-    /// no longer execute them, e.g. a post racing a pool shutdown.
-    pub rejected: AtomicU64,
-    /// Work-stealing scheduler counters (worker pools; zero for targets
-    /// without distributed queues, e.g. EDTs).
-    pub steal: StealCounters,
-}
-
-/// Snapshot of [`TargetStatsInner`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TargetStats {
-    /// Blocks posted asynchronously.
-    pub posted: u64,
-    /// Blocks run synchronously via the member short-circuit.
-    pub inline: u64,
-    /// Blocks executed by the target's own threads.
-    pub executed: u64,
-    /// Blocks executed while helping during an await barrier.
-    pub helped: u64,
-    /// Blocks rejected (cancelled without running) by the target.
-    pub rejected: u64,
-    /// Blocks taken from the executing thread's own deque.
-    pub local_pops: u64,
-    /// Blocks stolen from a sibling thread's deque.
-    pub steals: u64,
-    /// Sibling deques probed while looking for work (hit or miss).
-    pub steal_attempts: u64,
-    /// Blocks taken from the pool's global FIFO injector.
-    pub injector_pops: u64,
-    /// `steal_half` hits that moved surplus blocks onto the thief's deque.
-    pub steal_batches: u64,
-    /// Surplus blocks moved by `steal_half` (they run as `local_pops`).
-    pub steal_moved: u64,
-    /// Injector drains (each takes 1..=N blocks under one lock hold).
-    pub injector_batches: u64,
-    /// Blocks an injector drain buffered beyond the first (they run as
-    /// `injector_pops` when dispatched).
-    pub injector_moved: u64,
-}
-
-impl TargetStatsInner {
-    /// Takes a consistent-enough snapshot for reporting.
-    pub fn snapshot(&self) -> TargetStats {
-        let steal = self.steal.snapshot();
-        TargetStats {
-            posted: self.posted.load(Ordering::Relaxed),
-            inline: self.inline.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            helped: self.helped.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            local_pops: steal.local_pops,
-            steals: steal.steals,
-            steal_attempts: steal.steal_attempts,
-            injector_pops: steal.injector_pops,
-            steal_batches: steal.steal_batches,
-            steal_moved: steal.steal_moved,
-            injector_batches: steal.injector_batches,
-            injector_moved: steal.injector_moved,
-        }
-    }
-
-    /// Zeroes every counter, including the embedded steal counters. Quiesce
-    /// the target first for exact figures; increments racing the reset land
-    /// on either side of it.
-    pub fn reset(&self) {
-        self.posted.store(0, Ordering::Relaxed);
-        self.inline.store(0, Ordering::Relaxed);
-        self.executed.store(0, Ordering::Relaxed);
-        self.helped.store(0, Ordering::Relaxed);
-        self.rejected.store(0, Ordering::Relaxed);
-        self.steal.reset();
+pyjama_metrics::counter_set! {
+    /// Per-target counters: Algorithm 1's accounting (posted, inline,
+    /// executed) and, for worker pools, the work-stealing scheduler's.
+    ///
+    /// A worker pool takes work from three sources: the owner's per-thread
+    /// deque (LIFO), sibling deques (steals), and a global FIFO injector for
+    /// external submissions. A healthy pool under member-produced load shows
+    /// mostly `local_pops`; external load drains through `injector_pops`;
+    /// imbalance shows up as `steals`. A high `steal_attempts`-to-`steals`
+    /// ratio means threads are scanning empty siblings: the pool is
+    /// starved, not unbalanced. Both acquisition paths can take *several*
+    /// blocks per synchronisation; the per-block counters still count each
+    /// executed block once, and the batch counters count synchronisation
+    /// events, so `injector_pops / injector_batches` and
+    /// `(steals + steal_moved) / steal_batches` are the realised
+    /// amortisation factors. The scheduler fields stay zero for targets
+    /// without distributed queues, e.g. EDTs.
+    pub struct TargetCounters => TargetStats {
+        /// Blocks posted asynchronously.
+        posted: Counter,
+        /// Blocks run synchronously because the encountering thread was
+        /// already a member (Algorithm 1 line 7).
+        inline: Counter,
+        /// Blocks executed by the target's own threads.
+        executed: Counter,
+        /// Blocks executed by a member thread *helping* during an await
+        /// barrier.
+        helped: Counter,
+        /// Blocks rejected (cancelled without running) because the target
+        /// could no longer execute them, e.g. a post racing a pool shutdown.
+        rejected: Counter,
+        /// Blocks taken from the executing thread's own deque.
+        local_pops: Counter,
+        /// Blocks stolen from a sibling thread's deque and run directly.
+        steals: Counter,
+        /// Sibling deques probed while looking for work (hit or miss).
+        steal_attempts: Counter,
+        /// Blocks taken from the pool's global FIFO injector.
+        injector_pops: Counter,
+        /// Successful `steal_half` batches (each also counts one `steals`).
+        steal_batches: Counter,
+        /// Surplus blocks a `steal_half` moved onto the thief's own deque
+        /// (they run as `local_pops` later).
+        steal_moved: Counter,
+        /// Injector drains (each takes 1..=N blocks under one lock hold).
+        injector_batches: Counter,
+        /// Blocks an injector drain buffered beyond the first (they run as
+        /// `injector_pops` when dispatched).
+        injector_moved: Counter,
     }
 }
 
 impl TargetStats {
-    /// Counter growth between an earlier snapshot and this one (saturating,
-    /// so a reset in between reads as zero rather than wrapping).
-    pub fn since(&self, earlier: &TargetStats) -> TargetStats {
-        TargetStats {
-            posted: self.posted.saturating_sub(earlier.posted),
-            inline: self.inline.saturating_sub(earlier.inline),
-            executed: self.executed.saturating_sub(earlier.executed),
-            helped: self.helped.saturating_sub(earlier.helped),
-            rejected: self.rejected.saturating_sub(earlier.rejected),
-            local_pops: self.local_pops.saturating_sub(earlier.local_pops),
-            steals: self.steals.saturating_sub(earlier.steals),
-            steal_attempts: self.steal_attempts.saturating_sub(earlier.steal_attempts),
-            injector_pops: self.injector_pops.saturating_sub(earlier.injector_pops),
-            steal_batches: self.steal_batches.saturating_sub(earlier.steal_batches),
-            steal_moved: self.steal_moved.saturating_sub(earlier.steal_moved),
-            injector_batches: self.injector_batches.saturating_sub(earlier.injector_batches),
-            injector_moved: self.injector_moved.saturating_sub(earlier.injector_moved),
-        }
-    }
-
     /// The scheduler's conservation law: every executed block left through
     /// exactly one of the three queue sources, so for a quiesced worker pool
     /// `executed == local_pops + steals + injector_pops` must hold.
+    /// Batch-moved blocks are not a fourth source: a steal-moved block runs
+    /// as a later `local_pop`, an injector-moved block as a later
+    /// `injector_pop`.
     pub fn pops_total(&self) -> u64 {
         self.local_pops + self.steals + self.injector_pops
+    }
+
+    /// Batch-accounting consistency: every batch contributes exactly one
+    /// directly-run block, so the per-block counters must dominate the
+    /// batch counters (`steals >= steal_batches`, `local_pops >=
+    /// steal_moved`, `injector_pops >= injector_batches` once the moved
+    /// blocks have run). Checked at quiesce by the pool's stress tests.
+    pub fn batches_consistent(&self) -> bool {
+        self.steals >= self.steal_batches
+            && self.local_pops >= self.steal_moved
+            && self.injector_pops >= self.injector_batches
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn batch_counters_track_amortisation() {
+        let c = TargetCounters::new();
+        // A steal_half that claimed 4 blocks: 1 run directly, 3 moved.
+        c.steals.inc();
+        c.steal_batches.inc();
+        c.steal_moved.add(3);
+        // The 3 moved blocks later pop locally.
+        c.local_pops.add(3);
+        // An injector drain of 2: 1 run now, 1 buffered, both injector_pops.
+        c.injector_pops.inc();
+        c.injector_batches.inc();
+        c.injector_moved.inc();
+        c.injector_pops.inc();
+        let s = c.snapshot();
+        assert_eq!(s.steal_batches, 1);
+        assert_eq!(s.steal_moved, 3);
+        assert_eq!(s.injector_batches, 1);
+        assert_eq!(s.injector_moved, 1);
+        assert_eq!(s.pops_total(), 1 + 3 + 2);
+        assert!(s.batches_consistent());
     }
 }

@@ -114,7 +114,7 @@ impl WakeSignal {
     /// thread, any number of times; permits do not accumulate, and neither
     /// do condvar wakes — a pending permit means the wake is in flight.
     pub fn notify(&self) {
-        COUNTERS.record_notify();
+        COUNTERS.notifies.inc();
         let mut g = self.state.lock();
         let pending = std::mem::replace(&mut g.permit, true);
         let wake = g.parked && !pending;
@@ -133,13 +133,13 @@ impl WakeSignal {
             return;
         }
         g.parked = true;
-        COUNTERS.record_park();
+        COUNTERS.parks.inc();
         while !g.permit {
             self.cond.wait(&mut g);
         }
         g.permit = false;
         g.parked = false;
-        COUNTERS.record_wake();
+        COUNTERS.wakes.inc();
     }
 
     /// Like [`park`](Self::park) but gives up at `deadline`. Returns `true`
@@ -154,7 +154,7 @@ impl WakeSignal {
             return false;
         }
         g.parked = true;
-        COUNTERS.record_park();
+        COUNTERS.parks.inc();
         while !g.permit {
             if self.cond.wait_until(&mut g, deadline).timed_out() {
                 break;
@@ -164,7 +164,7 @@ impl WakeSignal {
         let notified = g.permit;
         g.permit = false;
         if notified {
-            COUNTERS.record_wake();
+            COUNTERS.wakes.inc();
         }
         notified
     }
@@ -252,7 +252,7 @@ fn await_until_inner(handle: &TaskHandle, deadline: Option<Instant>, trace: pyja
                 // no work either — record it before leaving, or deadline
                 // exits would silently eat one no-work wakeup.
                 if woke_with_no_work {
-                    COUNTERS.record_spurious();
+                    COUNTERS.spurious_wakes.inc();
                 }
                 return handle.is_finished();
             }
@@ -262,7 +262,7 @@ fn await_until_inner(handle: &TaskHandle, deadline: Option<Instant>, trace: pyja
             continue;
         }
         if woke_with_no_work {
-            COUNTERS.record_spurious();
+            COUNTERS.spurious_wakes.inc();
         }
         // Nothing to help with: park until a wake source fires, bounding the
         // sleep only by real deadlines (the caller's, or the loop's next

@@ -166,7 +166,7 @@ pub(crate) fn acquire(label: Arc<str>, trace: TraceId, body: InlineFn) -> Arc<Ta
 /// `acquire` re-checks the pin before any reset.
 pub fn release(region: Arc<TargetRegion>) {
     if region.poisoned() {
-        ALLOC.record_poisoned();
+        ALLOC.poisoned.inc();
         return; // normal drop; attributed above
     }
     if Arc::strong_count(&region) != 1 || !region.slab_eligible() {

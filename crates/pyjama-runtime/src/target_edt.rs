@@ -7,20 +7,19 @@
 //! short-circuit makes `target virtual(edt)` free when already on the EDT —
 //! exactly the *thread-context awareness* of §III-B.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use pyjama_events::pump;
 use pyjama_events::EventLoopHandle;
 
-use crate::executor::{TargetKind, TargetStats, TargetStatsInner, VirtualTarget};
+use crate::executor::{TargetKind, TargetStats, TargetCounters, VirtualTarget};
 use crate::task::TargetRegion;
 
 /// A virtual target backed by an event loop's dispatch thread.
 pub struct EdtTarget {
     name: String,
     handle: EventLoopHandle,
-    stats: TargetStatsInner,
+    stats: TargetCounters,
 }
 
 impl EdtTarget {
@@ -29,7 +28,7 @@ impl EdtTarget {
         Arc::new(EdtTarget {
             name: name.into(),
             handle,
-            stats: TargetStatsInner::default(),
+            stats: TargetCounters::default(),
         })
     }
 
@@ -49,7 +48,7 @@ impl VirtualTarget for EdtTarget {
     }
 
     fn post(&self, region: Arc<TargetRegion>) {
-        self.stats.posted.fetch_add(1, Ordering::Relaxed);
+        self.stats.posted.inc();
         let posted = self.handle.post({
             let region = Arc::clone(&region);
             move || {
@@ -67,7 +66,7 @@ impl VirtualTarget for EdtTarget {
             region.execute();
             crate::slab::release(region);
         } else {
-            self.stats.executed.fetch_add(1, Ordering::Relaxed);
+            self.stats.executed.inc();
         }
     }
 
@@ -81,7 +80,7 @@ impl VirtualTarget for EdtTarget {
         }
         let helped = pump::try_pump_current();
         if helped {
-            self.stats.helped.fetch_add(1, Ordering::Relaxed);
+            self.stats.helped.inc();
         }
         helped
     }
@@ -108,7 +107,7 @@ impl std::fmt::Debug for EdtTarget {
 mod tests {
     use super::*;
     use pyjama_events::Edt;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
     #[test]

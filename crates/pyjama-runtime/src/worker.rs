@@ -85,7 +85,7 @@ use pyjama_sync::Mutex;
 use pyjama_trace::{arg as trace_arg, Stage};
 
 use crate::deque::{ChaseLev, Steal};
-use crate::executor::{TargetKind, TargetStats, TargetStatsInner, VirtualTarget};
+use crate::executor::{TargetKind, TargetStats, TargetCounters, VirtualTarget};
 use crate::parker::WakeSignal;
 use crate::task::TargetRegion;
 
@@ -165,7 +165,7 @@ struct Inner {
     barrier: Mutex<BarrierWakers>,
     /// Round-robin cursor over registered barrier wakers.
     barrier_rr: AtomicUsize,
-    stats: TargetStatsInner,
+    stats: TargetCounters,
 }
 
 impl Inner {
@@ -194,7 +194,7 @@ impl Inner {
             slot.pending_len.store(buf.len(), Ordering::Relaxed);
             region
         };
-        self.stats.steal.record_injector_pop();
+        self.stats.injector_pops.inc();
         Some(region)
     }
 
@@ -223,8 +223,9 @@ impl Inner {
         // under the lock).
         self.injector_len.fetch_sub(1 + extra, Ordering::SeqCst);
         drop(g);
-        self.stats.steal.record_injector_pop();
-        self.stats.steal.record_injector_batch(extra as u64);
+        self.stats.injector_pops.inc();
+        self.stats.injector_batches.inc();
+        self.stats.injector_moved.add(extra as u64);
         Some(region)
     }
 
@@ -242,13 +243,14 @@ impl Inner {
         let n = self.slots.len();
         for i in 1..n {
             let victim = (me + i) % n;
-            self.stats.steal.record_steal_attempt();
+            self.stats.steal_attempts.inc();
             let (result, moved) = self.slots[victim].deque.steal_half(&self.slots[me].deque);
             match result {
                 Steal::Item(region) => {
-                    self.stats.steal.record_steal();
+                    self.stats.steals.inc();
                     if moved > 0 {
-                        self.stats.steal.record_steal_batch(moved as u64);
+                        self.stats.steal_batches.inc();
+                        self.stats.steal_moved.add(moved as u64);
                     }
                     return Some(region);
                 }
@@ -271,7 +273,7 @@ impl Inner {
     /// run loop and the helping paths.
     fn acquire(&self, me: usize) -> Option<Arc<TargetRegion>> {
         if let Some(region) = self.slots[me].deque.pop() {
-            self.stats.steal.record_local_pop();
+            self.stats.local_pops.inc();
             pyjama_trace::emit(region.trace_id(), Stage::RegionDequeued, trace_arg::DEQ_LOCAL);
             return Some(region);
         }
@@ -362,7 +364,7 @@ impl Inner {
     fn run(&self, region: Arc<TargetRegion>) {
         // Counted before running: a waiter released by the region's
         // completion must never observe a snapshot missing this execution.
-        self.stats.executed.fetch_add(1, Ordering::Relaxed);
+        self.stats.executed.inc();
         region.execute();
         crate::slab::release(region);
     }
@@ -483,7 +485,7 @@ impl Inner {
         // A producer racing the pool's shutdown degrades gracefully: the
         // region is rejected in a terminal Cancelled state, so waiters are
         // released instead of the producer panicking.
-        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        self.stats.rejected.inc();
         region.cancel();
         crate::slab::release(region);
     }
@@ -600,7 +602,7 @@ impl WorkerTarget {
                 next_id: 0,
             }),
             barrier_rr: AtomicUsize::new(0),
-            stats: TargetStatsInner::default(),
+            stats: TargetCounters::default(),
         });
         let threads = (0..capacity)
             .map(|i| {
@@ -753,7 +755,7 @@ impl WorkerTarget {
         match inner.acquire(me) {
             Some(region) => {
                 inner.run(region);
-                inner.stats.helped.fetch_add(1, Ordering::Relaxed);
+                inner.stats.helped.inc();
                 true
             }
             None => false,
@@ -803,7 +805,7 @@ impl VirtualTarget for WorkerTarget {
             inner.injector_len.fetch_add(1, Ordering::SeqCst);
             drop(g);
         }
-        inner.stats.posted.fetch_add(1, Ordering::Relaxed);
+        inner.stats.posted.inc();
         // Publish-then-scan half of the eventcount handshake (see run_loop).
         fence(Ordering::SeqCst);
         inner.wake_one();
@@ -820,7 +822,7 @@ impl VirtualTarget for WorkerTarget {
         match self.inner.acquire(me) {
             Some(region) => {
                 self.inner.run(region);
-                self.inner.stats.helped.fetch_add(1, Ordering::Relaxed);
+                self.inner.stats.helped.inc();
                 true
             }
             None => false,
