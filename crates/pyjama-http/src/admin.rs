@@ -15,33 +15,32 @@
 //!   changes nothing and the old generation keeps serving (the response is
 //!   `400` with the validation error).
 //!
-//! The admin listener is deliberately separate from the data plane: an
-//! overloaded server that is shedding requests still answers its operator.
+//! The admin endpoint is an ordinary [`HttpServer`] with one acceptor and
+//! a one-thread Jetty pool, on a listener deliberately separate from the
+//! data plane: an overloaded server that is shedding requests still
+//! answers its operator. Admin requests are rare (an operator or a
+//! script); half-second I/O and idle deadlines keep one stalled or idle
+//! client from wedging the endpoint for longer than that.
 //! Serialization is hand-rolled (the config is a small flat struct); the
 //! accepted JSON subset is likewise flat — numbers, `null`, and quoted
 //! keys — which covers every tunable knob.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 use pyjama_control::{Config, ControlPlane};
 use pyjama_metrics::{AdmissionStats, AllocStats, ReconfigStats};
 
-use crate::conn::ConnState;
 use crate::message::{Request, Response, Status};
+use crate::server::{HttpServer, ServerOptions, ServingPolicy};
 
 /// A callback handing the admin server the data plane's admission counters
-/// (see [`HttpServer::admission_probe`](crate::HttpServer::admission_probe)).
+/// (see [`HttpServer::admission_probe`]).
 pub type AdmissionProbe = Box<dyn Fn() -> AdmissionStats + Send + Sync>;
 
 /// A running admin endpoint bound to an ephemeral loopback port.
 pub struct AdminServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    server: HttpServer,
 }
 
 impl AdminServer {
@@ -56,81 +55,33 @@ impl AdminServer {
         plane: ControlPlane,
         admission: Option<AdmissionProbe>,
     ) -> std::io::Result<AdminServer> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("http-admin".into())
-                .spawn(move || admin_loop(listener, plane, admission, stop))?
+        let opts = ServerOptions {
+            acceptors: 1,
+            io_timeout: Duration::from_millis(500),
+            idle_timeout: Duration::from_millis(500),
+            ..ServerOptions::default()
         };
-        Ok(AdminServer {
-            addr,
-            stop,
-            thread: Some(thread),
-        })
+        let server =
+            HttpServer::start_with(ServingPolicy::JettyPool { threads: 1 }, opts, move |req| {
+                route(&plane, &admission, req)
+            })?;
+        Ok(AdminServer { server })
     }
 
     /// The bound address (`127.0.0.1:<ephemeral>`).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
-    /// Stops the listener and joins its thread. Idempotent.
+    /// Stops the listener and joins its threads. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock a blocked `accept` (same trick as the data-plane server).
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.server.shutdown();
     }
 }
 
 impl Drop for AdminServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// One thread serves all admin traffic: connections are handled to
-/// completion in accept order. Admin requests are rare (an operator or a
-/// script); a bounded per-I/O timeout keeps one stalled client from
-/// wedging the endpoint for more than half a second.
-fn admin_loop(
-    listener: TcpListener,
-    plane: ControlPlane,
-    admission: Option<AdmissionProbe>,
-    stop: Arc<AtomicBool>,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut conn = match ConnState::new(stream, Duration::from_millis(500)) {
-            Ok(c) => c,
-            Err(_) => continue,
-        };
-        // Keep-alive within the session; any read error (including the
-        // client simply going quiet past the I/O timeout) ends it.
-        while conn.read_request().is_ok() {
-            let resp = route(&plane, &admission, &conn.req);
-            let close = conn.req.wants_close() || stop.load(Ordering::SeqCst);
-            if conn.write_response(&resp, close).is_err() || close {
-                break;
-            }
-        }
     }
 }
 

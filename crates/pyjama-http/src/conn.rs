@@ -1,129 +1,195 @@
-//! Per-connection serving state for persistent (keep-alive) connections.
+//! One accepted HTTP connection, as both serving policies drive it.
 //!
-//! [`ConnState`] owns everything one TCP connection needs across its whole
-//! lifetime — the buffered reader, the parsed-request shell, the line
-//! scratch and the outgoing head buffer — so that serving request *n+1* on
-//! a connection allocates nothing the serving of request *n* did not
-//! already allocate. Responses leave as one `writev` over `[head, body]`
-//! (with `TCP_NODELAY` set, so the kernel does not hold the tail of a
-//! response hostage to Nagle/delayed-ACK interplay): the body is never
-//! copied into the head buffer, and the common case is still a single
-//! syscall.
+//! [`Conn`] owns the socket plus the buffers that make request parsing and
+//! response writing *resumable*: a `WouldBlock` (or a read timeout) at any
+//! byte boundary leaves the connection exactly where it stopped, and the
+//! next step picks up from there. The same buffers are reused across every
+//! request on a keep-alive connection, so serving request *n+1* allocates
+//! nothing the serving of request *n* did not already allocate. A response
+//! leaves as one `writev` over `[head, body]` (with `TCP_NODELAY` set, so
+//! the kernel does not hold the tail of a response hostage to
+//! Nagle/delayed-ACK interplay): the body is never copied into the head
+//! buffer, and the common case is a single syscall.
+//!
+//! The socket's mode is the serving policy's choice, made at accept: the
+//! reactor makes it non-blocking, the Jetty pool gives it read and write
+//! timeouts. `Conn` itself works over either.
 
-use std::io::{BufRead, BufReader, IoSlice, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
 
 use pyjama_trace::TraceId;
 
-use crate::message::{ReadError, ReadScratch, Request, Response};
+use crate::message::{ParseStatus, ReadError, Request, Response};
 use crate::server::ServerOptions;
 
-/// One accepted connection and its reusable serving buffers.
-pub(crate) struct ConnState {
-    /// Write half (`try_clone` of the reader's stream — same socket).
-    write: TcpStream,
-    /// Buffered read half; persists so pipelined bytes are never dropped.
-    reader: BufReader<TcpStream>,
+/// Spare room a read needs in the connection's read buffer.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
+
+/// One connection and its reusable serving buffers. It lives in one `Box`
+/// from accept to close, so handing it between the reactor and a serving
+/// region moves one pointer.
+pub(crate) struct Conn {
+    sock: TcpStream,
+    /// Read buffer: `inbuf[..inlen]` are received, unparsed request bytes
+    /// (possibly several pipelined requests; parsed ones are drained off the
+    /// front), the rest is zeroed room the next read lands in. Kept across
+    /// requests; only the reactor's deadline sweep releases it.
+    pub(crate) inbuf: Vec<u8>,
+    pub(crate) inlen: usize,
     /// Parsed-request shell, reused across requests.
     pub(crate) req: Request,
-    /// Line scratch for the parser.
-    scratch: ReadScratch,
-    /// Outgoing head serialisation buffer, reused across responses (the
-    /// body is sent as its own `writev` slice, never copied in here).
-    out: Vec<u8>,
-    /// Requests fully served (written) on this connection.
+    /// Serialised response head, reused across responses.
+    head: Vec<u8>,
+    /// Response body being written (owned copy so the region that produced
+    /// it can retire while the write waits for `EPOLLOUT`).
+    body: Vec<u8>,
+    /// Bytes of `head ++ body` already written.
+    out_pos: usize,
+    /// True while a staged response has unwritten bytes.
+    pending: bool,
+    /// Close the socket once the staged response is fully written.
+    pub(crate) close_after_write: bool,
+    /// Requests fully served (response written) on this connection.
     pub(crate) served: u32,
-    /// Causal trace id minted at accept; the region serving the connection
-    /// continues this flow.
+    /// Causal trace id minted at accept.
     pub(crate) trace: TraceId,
-    /// Effective per-session options captured at accept. A live
-    /// reconfiguration changes *new* sessions; this one keeps the limits it
-    /// was admitted under.
+    /// Effective per-session options captured at accept (a live
+    /// reconfiguration applies to *new* sessions).
     pub(crate) opts: ServerOptions,
+    /// The socket is in the reactor's interest set: its first arm `ADD`s
+    /// it, every later one `MOD`s it. Closing the socket removes it, so a
+    /// new connection that reuses the fd number starts over with an `ADD`.
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+    pub(crate) in_poller: bool,
+    /// A reactor deadline sweep has seen the current registration idle; the
+    /// next one releases its buffers. Cleared by every registration.
+    pub(crate) swept_idle: bool,
 }
 
-impl ConnState {
-    /// Wraps an accepted stream: sets `TCP_NODELAY` plus the per-I/O
-    /// timeouts and splits read/write halves.
-    pub(crate) fn new(stream: TcpStream, io_timeout: Duration) -> std::io::Result<ConnState> {
+impl Conn {
+    /// Wraps an accepted stream and sets `TCP_NODELAY`. The caller sets the
+    /// socket's blocking mode.
+    pub(crate) fn new(stream: TcpStream) -> std::io::Result<Box<Conn>> {
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(io_timeout))?;
-        stream.set_write_timeout(Some(io_timeout))?;
-        let write = stream.try_clone()?;
-        Ok(ConnState {
-            write,
-            reader: BufReader::new(stream),
+        Ok(Box::new(Conn {
+            sock: stream,
+            inbuf: Vec::new(),
+            inlen: 0,
             req: Request::empty(),
-            scratch: ReadScratch::new(),
-            out: Vec::new(),
+            head: Vec::new(),
+            body: Vec::new(),
+            out_pos: 0,
+            pending: false,
+            close_after_write: false,
             served: 0,
             trace: TraceId::NONE,
             opts: ServerOptions::default(),
-        })
+            in_poller: false,
+            swept_idle: false,
+        }))
     }
 
-    /// True when bytes of a further request are already buffered — the
-    /// client pipelined.
-    pub(crate) fn has_buffered(&self) -> bool {
-        !self.reader.buffer().is_empty()
-    }
-
-    /// Parses the next request into the reused shell.
-    pub(crate) fn read_request(&mut self) -> Result<(), ReadError> {
-        Request::read_into(&mut self.reader, &mut self.req, &mut self.scratch)
-    }
-
-    /// Parses the next request with a config-sourced body cap.
-    pub(crate) fn read_request_capped(&mut self, max_body: usize) -> Result<(), ReadError> {
-        Request::read_into_capped(&mut self.reader, &mut self.req, &mut self.scratch, max_body)
-    }
-
-    /// Serialises `resp`'s head (with the connection header forced to
-    /// `close`/`keep-alive` per `close`) into the reused buffer and sends
-    /// head + body as one vectored write (a single `writev` syscall when
-    /// the socket buffer has room; short writes continue where they left
-    /// off).
-    pub(crate) fn write_response(&mut self, resp: &Response, close: bool) -> std::io::Result<()> {
-        let tok = if close { "close" } else { "keep-alive" };
-        resp.write_head_into(&mut self.out, Some(tok));
-        write_all_vectored(&mut self.write, &self.out, &resp.body)?;
-        self.write.flush()
-    }
-
-    /// The underlying socket (for readiness polling).
+    /// The underlying socket.
     pub(crate) fn socket(&self) -> &TcpStream {
-        self.reader.get_ref()
+        &self.sock
     }
 
-    /// Restores the per-I/O read timeout (after readiness waiting fiddled
-    /// with it).
-    pub(crate) fn set_read_timeout(&self, t: Duration) -> std::io::Result<()> {
-        self.reader.get_ref().set_read_timeout(Some(t))
+    /// Received request bytes not yet parsed.
+    pub(crate) fn buffered(&self) -> usize {
+        self.inlen
+    }
+
+    /// One read into the read buffer. `Ok(0)` is EOF; `WouldBlock` (or a
+    /// read timeout) propagates and the caller waits for more bytes.
+    pub(crate) fn read_step(&mut self) -> std::io::Result<usize> {
+        // Zero only growth: the initialised room is reused by every request.
+        let want = self.inlen + READ_CHUNK;
+        if self.inbuf.len() < want {
+            self.inbuf.resize(want, 0);
+        }
+        let n = (&self.sock).read(&mut self.inbuf[self.inlen..])?;
+        self.inlen += n;
+        Ok(n)
+    }
+
+    /// Tries to parse the next request off the front of the read buffer; a
+    /// complete request is drained from it (pipelined successors stay).
+    /// `max_body` is the (possibly config-sourced) body cap.
+    pub(crate) fn parse_step(&mut self, max_body: usize) -> Result<ParseStatus, ReadError> {
+        let status =
+            Request::parse_into_capped(&self.inbuf[..self.inlen], &mut self.req, max_body)?;
+        if let ParseStatus::Complete { consumed } = status {
+            self.inbuf.copy_within(consumed..self.inlen, 0);
+            self.inlen -= consumed;
+        }
+        Ok(status)
+    }
+
+    /// Stages `resp` for writing (head serialised into the reused buffer,
+    /// body copied so the response can outlive the handler's region).
+    pub(crate) fn stage_response(&mut self, resp: &Response, close: bool) {
+        let tok = if close { "close" } else { "keep-alive" };
+        resp.write_head_into(&mut self.head, Some(tok));
+        self.body.clear();
+        self.body.extend_from_slice(&resp.body);
+        self.out_pos = 0;
+        self.pending = true;
+        self.close_after_write = close;
+    }
+
+    /// True while staged response bytes remain unwritten.
+    pub(crate) fn has_pending_output(&self) -> bool {
+        self.pending
+    }
+
+    /// Releases buffer capacity an idle connection no longer needs. With
+    /// tens of thousands of parked keep-alive connections, per-connection
+    /// buffers (the 16 KiB read room, a possibly-large last response body)
+    /// dominate the server's memory footprint; an idle connection keeps
+    /// only its small reusable head buffer.
+    pub(crate) fn release_idle_buffers(&mut self) {
+        debug_assert!(self.inlen == 0 && !self.pending);
+        self.inbuf = Vec::new();
+        if self.body.capacity() > 4096 {
+            self.body = Vec::new();
+        }
+    }
+
+    /// Pushes staged response bytes at the socket until done or the socket
+    /// will not take more. `Ok(())` means fully written; `WouldBlock` (or a
+    /// write timeout) propagates, and a later call resumes where this one
+    /// stopped.
+    pub(crate) fn write_step(&mut self) -> std::io::Result<()> {
+        write_resumable(&mut &self.sock, &self.head, &self.body, &mut self.out_pos)?;
+        self.pending = false;
+        Ok(())
     }
 }
 
-/// Writes the concatenation of `a` then `b` to `w`, preferring one
-/// `write_vectored` (`writev`) per attempt so the fast path is a single
-/// syscall with no copy joining the slices. Short writes continue from the
-/// exact offset reached; `Interrupted` retries.
-///
-/// (Hand-rolled continuation arithmetic instead of `IoSlice::advance_slices`
-/// to stay on long-stable std APIs.)
-pub(crate) fn write_all_vectored(
+/// Writes `head ++ body` to `w`, starting at byte `*pos` of the pair and
+/// advancing `*pos` past every byte written, so a call that fails (for
+/// example with `WouldBlock`) can be repeated and continues from the exact
+/// offset reached. While head bytes remain, both sides go out in one
+/// `write_vectored` (`writev`): the fast path is a single syscall with no
+/// copy joining the slices. `Interrupted` retries.
+pub(crate) fn write_resumable(
     w: &mut impl Write,
-    a: &[u8],
-    b: &[u8],
+    head: &[u8],
+    body: &[u8],
+    pos: &mut usize,
 ) -> std::io::Result<()> {
-    let (mut a, mut b) = (a, b);
-    while !a.is_empty() || !b.is_empty() {
-        let written = if a.is_empty() {
-            w.write(b)
-        } else if b.is_empty() {
-            w.write(a)
+    let total = head.len() + body.len();
+    while *pos < total {
+        let written = if *pos < head.len() {
+            let head_rest = &head[*pos..];
+            if body.is_empty() {
+                w.write(head_rest)
+            } else {
+                w.write_vectored(&[IoSlice::new(head_rest), IoSlice::new(body)])
+            }
         } else {
-            w.write_vectored(&[IoSlice::new(a), IoSlice::new(b)])
+            w.write(&body[*pos - head.len()..])
         };
         match written {
             Ok(0) => {
@@ -132,11 +198,7 @@ pub(crate) fn write_all_vectored(
                     "failed to write whole response",
                 ))
             }
-            Ok(n) => {
-                let from_a = n.min(a.len());
-                a = &a[from_a..];
-                b = &b[n - from_a..];
-            }
+            Ok(n) => *pos += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -144,84 +206,12 @@ pub(crate) fn write_all_vectored(
     Ok(())
 }
 
-impl std::fmt::Debug for ConnState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConnState")
-            .field("peer", &self.socket().peer_addr().ok())
-            .field("served", &self.served)
-            .finish()
-    }
-}
-
-/// Outcome of waiting for the next request on a persistent connection.
-#[derive(Debug)]
-pub(crate) enum NextRequest {
-    /// Request bytes are available; `pipelined` when they were already
-    /// buffered before the wait (no read happened in between).
-    Ready {
-        /// True when the bytes were sitting in the read buffer already.
-        pipelined: bool,
-    },
-    /// The peer closed the connection cleanly.
-    Eof,
-    /// No request arrived within the deadline.
-    IdleTimeout,
-    /// The server began shutdown while waiting.
-    Stopped,
-    /// Transport failure (payload kept for `Debug` diagnostics only).
-    Err(#[allow(dead_code)] std::io::Error),
-}
-
-/// Blocks (in short slices, so `stop` stays responsive) until request bytes
-/// are available on `conn`, the peer closes, `deadline` passes, or `stop`
-/// is raised. Used by the pool-thread (Jetty-style) session loop; the
-/// Reactor policy hands idle connections to the epoll reactor instead.
-pub(crate) fn wait_readable(
-    conn: &mut ConnState,
-    deadline: Instant,
-    io_timeout: Duration,
-    stop: &AtomicBool,
-) -> NextRequest {
-    if conn.has_buffered() {
-        return NextRequest::Ready { pipelined: true };
-    }
-    const SLICE: Duration = Duration::from_millis(50);
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return NextRequest::Stopped;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return NextRequest::IdleTimeout;
-        }
-        let wait = SLICE.min(deadline - now);
-        if let Err(e) = conn.socket().set_read_timeout(Some(wait.max(Duration::from_millis(1)))) {
-            return NextRequest::Err(e);
-        }
-        match conn.reader.fill_buf() {
-            Ok([]) => return NextRequest::Eof,
-            Ok(_) => {
-                return match conn.set_read_timeout(io_timeout) {
-                    Ok(()) => NextRequest::Ready { pipelined: false },
-                    Err(e) => NextRequest::Err(e),
-                };
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return NextRequest::Err(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
     use std::net::TcpListener;
+    use std::time::Duration;
 
     fn pair() -> (TcpStream, TcpStream) {
         let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -230,110 +220,37 @@ mod tests {
         (a, b)
     }
 
-    #[test]
-    fn ready_pipelined_when_bytes_already_buffered() {
-        let (mut client, server) = pair();
-        let mut conn = ConnState::new(server, Duration::from_millis(500)).unwrap();
-        let mut wire = Vec::new();
-        Request::new("GET", "/a", Vec::new()).write_to(&mut wire).unwrap();
-        Request::new("GET", "/b", Vec::new()).write_to(&mut wire).unwrap();
-        client.write_all(&wire).unwrap();
-
-        // First read buffers both requests; only one is consumed.
-        conn.read_request().unwrap();
-        assert_eq!(conn.req.path, "/a");
-        assert!(conn.has_buffered());
-        let stop = AtomicBool::new(false);
-        let next = wait_readable(
-            &mut conn,
-            Instant::now() + Duration::from_secs(1),
-            Duration::from_millis(500),
-            &stop,
-        );
-        assert!(matches!(next, NextRequest::Ready { pipelined: true }), "{next:?}");
-        conn.read_request().unwrap();
-        assert_eq!(conn.req.path, "/b");
-    }
-
-    #[test]
-    fn wait_sees_late_arriving_bytes_without_pipelined_flag() {
-        let (mut client, server) = pair();
-        let mut conn = ConnState::new(server, Duration::from_millis(500)).unwrap();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(60));
-            Request::new("GET", "/late", Vec::new()).write_to(&mut client).unwrap();
-            client
-        });
-        let stop = AtomicBool::new(false);
-        let next = wait_readable(
-            &mut conn,
-            Instant::now() + Duration::from_secs(2),
-            Duration::from_millis(500),
-            &stop,
-        );
-        assert!(matches!(next, NextRequest::Ready { pipelined: false }), "{next:?}");
-        conn.read_request().unwrap();
-        assert_eq!(conn.req.path, "/late");
-        drop(t.join().unwrap());
-    }
-
-    #[test]
-    fn wait_reports_eof_on_peer_close() {
-        let (client, server) = pair();
-        let mut conn = ConnState::new(server, Duration::from_millis(500)).unwrap();
-        drop(client);
-        let stop = AtomicBool::new(false);
-        let next = wait_readable(
-            &mut conn,
-            Instant::now() + Duration::from_secs(1),
-            Duration::from_millis(500),
-            &stop,
-        );
-        assert!(matches!(next, NextRequest::Eof), "{next:?}");
-    }
-
-    #[test]
-    fn wait_times_out_and_honors_stop() {
-        let (_client, server) = pair();
-        let mut conn = ConnState::new(server, Duration::from_millis(500)).unwrap();
-        let stop = AtomicBool::new(false);
-        let t0 = Instant::now();
-        let next = wait_readable(
-            &mut conn,
-            Instant::now() + Duration::from_millis(80),
-            Duration::from_millis(500),
-            &stop,
-        );
-        assert!(matches!(next, NextRequest::IdleTimeout), "{next:?}");
-        assert!(t0.elapsed() >= Duration::from_millis(75));
-
-        stop.store(true, Ordering::SeqCst);
-        let next = wait_readable(
-            &mut conn,
-            Instant::now() + Duration::from_secs(10),
-            Duration::from_millis(500),
-            &stop,
-        );
-        assert!(matches!(next, NextRequest::Stopped), "{next:?}");
-    }
-
     /// A writer that accepts at most `limit` bytes per call — exercises the
-    /// short-write continuation across the head/body slice boundary.
+    /// short-write continuation across the head/body slice boundary. When
+    /// `blocking`, every second call fails with `WouldBlock` instead, as a
+    /// full non-blocking socket does.
     struct Trickle {
         limit: usize,
+        blocking: bool,
         calls: usize,
         data: Vec<u8>,
     }
 
+    impl Trickle {
+        fn new(limit: usize, blocking: bool) -> Trickle {
+            Trickle {
+                limit,
+                blocking,
+                calls: 0,
+                data: Vec::new(),
+            }
+        }
+    }
+
     impl Write for Trickle {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.calls += 1;
-            let n = buf.len().min(self.limit);
-            self.data.extend_from_slice(&buf[..n]);
-            Ok(n)
+            self.write_vectored(&[IoSlice::new(buf)])
         }
         fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
             self.calls += 1;
+            if self.blocking && self.calls.is_multiple_of(2) {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
             let mut left = self.limit;
             let mut n = 0;
             for b in bufs {
@@ -352,30 +269,53 @@ mod tests {
         }
     }
 
+    /// Writes `head ++ body` to `w` to completion, resuming after every
+    /// `WouldBlock`; returns how many times it had to resume.
+    fn write_all_resuming(w: &mut Trickle, head: &[u8], body: &[u8]) -> usize {
+        let mut pos = 0;
+        let mut resumed = 0;
+        loop {
+            match write_resumable(w, head, body, &mut pos) {
+                Ok(()) => return resumed,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => resumed += 1,
+                Err(e) => panic!("{e}"),
+            }
+        }
+    }
+
     #[test]
     fn vectored_write_continues_across_short_writes() {
         let head = b"HTTP/1.1 200 OK\r\ncontent-length: 11\r\n\r\n";
         let body = b"hello world";
+        let mut want = head.to_vec();
+        want.extend_from_slice(body);
         // Every per-call limit, including ones that split mid-head,
-        // exactly at the boundary, and mid-body.
+        // exactly at the boundary, and mid-body; and the same with every
+        // other call refusing with `WouldBlock`, so each continuation
+        // starts from an offset a previous call left behind.
         for limit in 1..=head.len() + body.len() {
-            let mut w = Trickle { limit, calls: 0, data: Vec::new() };
-            write_all_vectored(&mut w, head, body).unwrap();
-            let mut want = head.to_vec();
-            want.extend_from_slice(body);
-            assert_eq!(w.data, want, "limit={limit}");
+            for blocking in [false, true] {
+                let mut w = Trickle::new(limit, blocking);
+                let resumed = write_all_resuming(&mut w, head, body);
+                assert_eq!(w.data, want, "limit={limit} blocking={blocking}");
+                assert_eq!(resumed > 0, blocking && limit < want.len());
+            }
         }
         // Unconstrained writer: exactly one (vectored) call.
-        let mut w = Trickle { limit: usize::MAX, calls: 0, data: Vec::new() };
-        write_all_vectored(&mut w, head, body).unwrap();
+        let mut w = Trickle::new(usize::MAX, false);
+        write_all_resuming(&mut w, head, body);
         assert_eq!(w.calls, 1, "fast path must be a single syscall");
     }
 
     #[test]
     fn vectored_write_handles_empty_sides() {
-        for (a, b) in [(&b""[..], &b"body"[..]), (&b"head"[..], &b""[..]), (&b""[..], &b""[..])] {
-            let mut w = Trickle { limit: 3, calls: 0, data: Vec::new() };
-            write_all_vectored(&mut w, a, b).unwrap();
+        for (a, b) in [
+            (&b""[..], &b"body"[..]),
+            (&b"head"[..], &b""[..]),
+            (&b""[..], &b""[..]),
+        ] {
+            let mut w = Trickle::new(3, true);
+            write_all_resuming(&mut w, a, b);
             let mut want = a.to_vec();
             want.extend_from_slice(b);
             assert_eq!(w.data, want);
@@ -383,17 +323,23 @@ mod tests {
     }
 
     #[test]
-    fn write_response_is_single_buffered_write_with_override() {
+    fn stage_and_write_reuse_the_head_buffer_with_override() {
         let (client, server) = pair();
-        let mut conn = ConnState::new(server, Duration::from_millis(500)).unwrap();
+        let mut conn = Conn::new(server).unwrap();
         let resp = Response::ok(b"abc".to_vec());
-        conn.write_response(&resp, false).unwrap();
-        let cap = conn.out.capacity();
-        let ptr = conn.out.as_ptr();
-        conn.write_response(&resp, true).unwrap();
-        assert_eq!(conn.out.capacity(), cap, "out buffer must be reused");
-        assert_eq!(conn.out.as_ptr(), ptr);
+        conn.stage_response(&resp, false);
+        conn.write_step().unwrap();
+        let cap = conn.head.capacity();
+        let ptr = conn.head.as_ptr();
+        conn.stage_response(&resp, true);
+        conn.write_step().unwrap();
+        assert!(!conn.has_pending_output());
+        assert_eq!(conn.head.capacity(), cap, "head buffer must be reused");
+        assert_eq!(conn.head.as_ptr(), ptr);
 
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         let mut reader = BufReader::new(client);
         let first = Response::read_from(&mut reader).unwrap();
         assert!(!first.announces_close());

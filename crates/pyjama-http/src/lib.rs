@@ -6,26 +6,27 @@
 //! thread pool") and with Pyjama's virtual targets ("to offload the
 //! time-consuming computations to worker threads"). This crate provides:
 //!
-//! * [`message`] — a small HTTP/1.1 request/response codec with an
-//!   allocation-conscious hot path (reusable request shells, header slots
-//!   and serialisation buffers; `Content-Length` bodies, 8 MiB cap).
+//! * [`message`] — a small HTTP/1.1 codec: one resumable request parser
+//!   over the bytes received so far (reusable request shells and header
+//!   slots; `Content-Length` bodies, 8 MiB cap), response serialisation,
+//!   and the client's blocking response parser.
 //! * [`server`] — a TCP server over loopback with persistent (keep-alive,
-//!   pipelining-capable) connections, a sharded accept path, and pluggable
-//!   [`ServingPolicy`]: [`ServingPolicy::JettyPool`] (the paper's
-//!   baseline: thread-pinned sessions) or [`ServingPolicy::Reactor`] (the
-//!   Pyjama policy: an epoll reactor owns every socket non-blocking and
-//!   kernel readiness posts each request's `target virtual(worker) nowait`
-//!   serving region — tens of thousands of keep-alive connections on a
-//!   bounded pool).
+//!   pipelining-capable) connections, a sharded accept path, and two
+//!   [`ServingPolicy`]s that run one serving step over one connection type
+//!   and differ only in who waits on the socket: [`ServingPolicy::JettyPool`]
+//!   (the paper's baseline: a pool thread owns the connection and waits in
+//!   place) or [`ServingPolicy::Reactor`] (the Pyjama policy: an epoll
+//!   reactor owns every socket non-blocking and kernel readiness posts each
+//!   request's `target virtual(worker) nowait` serving region).
 //! * [`client`] — a blocking client, the persistent-connection
 //!   [`ClientConn`], and the closed-loop [`LoadGenerator`]: "100 virtual
 //!   users, with each user sending a constant number of requests",
 //!   measuring throughput (responses/sec) and latency percentiles.
-//! * [`admin`] — the `/admin` control surface on its own listener: inspect
-//!   and atomically reconfigure a live server started with
-//!   [`HttpServer::start_controlled`], whose connection limits, body cap
-//!   and admission threshold (shed with `429 Retry-After` under overload)
-//!   follow the control plane's current config snapshot.
+//! * [`admin`] — the `/admin` control surface, an [`HttpServer`] on its own
+//!   listener: inspect and atomically reconfigure a live server started
+//!   with [`HttpServer::start_controlled`], whose connection limits, body
+//!   cap and admission threshold (shed with `429 Retry-After` under
+//!   overload) follow the control plane's current config snapshot.
 //!
 //! Everything runs over real loopback sockets; no external web server or
 //! load-testing tool is required.

@@ -1,11 +1,13 @@
 //! A minimal HTTP/1.1 codec: enough for the encryption-service benchmark.
 //!
-//! The hot path is allocation-conscious: [`Request::read_into`] parses into
-//! a *reused* [`Request`] (method/path `String`s, [`Headers`] slots and the
-//! body `Vec` all keep their capacity across requests on a persistent
-//! connection), and [`Response::write_into`] serialises status line, headers
-//! and body into one reused `Vec<u8>` so the server answers with a single
-//! `write_all` instead of a burst of small writes.
+//! The hot path is allocation-conscious: [`Request::parse_into`] parses the
+//! bytes a connection has received so far into a *reused* [`Request`]
+//! (method/path `String`s, [`Headers`] slots and the body `Vec` all keep
+//! their capacity across requests on a persistent connection), and
+//! [`Response::write_head_into`] serialises status line and headers into
+//! one reused `Vec<u8>`, so the server answers with one vectored write of
+//! head and body instead of a burst of small writes. The server has this
+//! one request parser; the blocking [`Response::read_into`] is the client's.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -186,7 +188,7 @@ impl std::ops::Index<&str> for Headers {
     }
 }
 
-/// Reused line buffer for request/response parsing. One per connection.
+/// Reused line buffer for response parsing. One per client connection.
 #[derive(Debug, Default)]
 pub struct ReadScratch {
     line: String,
@@ -276,7 +278,7 @@ impl Request {
         }
     }
 
-    /// An empty request shell whose buffers [`read_into`](Request::read_into)
+    /// An empty request shell whose buffers [`parse_into`](Request::parse_into)
     /// fills and reuses.
     pub fn empty() -> Self {
         Request {
@@ -320,99 +322,32 @@ impl Request {
         w.flush()
     }
 
-    /// Parses one request from a buffered reader into fresh storage.
-    pub fn read_from(r: &mut BufReader<impl Read>) -> std::io::Result<Request> {
-        let mut req = Request::empty();
-        let mut scratch = ReadScratch::new();
-        Request::read_into(r, &mut req, &mut scratch).map_err(ReadError::into_io)?;
-        Ok(req)
-    }
-
-    /// Parses one request into `req`, reusing its buffers and `scratch`.
+    /// Incremental, resumable parse of one request from the front of `buf`.
+    ///
+    /// Bytes arrive whenever the kernel says so, possibly one at a time
+    /// across many reads. This parser is *pure* over the bytes accumulated
+    /// so far — it never blocks and never consumes; on
+    /// [`ParseStatus::Complete`] the caller drains `consumed` bytes and
+    /// keeps any pipelined remainder. On [`ParseStatus::NeedMore`] the
+    /// caller reads more and simply calls again with the grown buffer
+    /// (re-parsing the head is cheap next to the socket I/O around it).
     ///
     /// Framing rules (the server turns [`ReadError::BadRequest`] into an
     /// immediate `400` instead of stalling on a body that will never come):
     ///
     /// * `POST`/`PUT`/`PATCH` **must** carry a `content-length`;
     /// * a `content-length` that does not parse as an integer is rejected;
-    /// * a `content-length` above [`MAX_BODY_BYTES`] is rejected.
-    pub fn read_into(
-        r: &mut BufReader<impl Read>,
-        req: &mut Request,
-        scratch: &mut ReadScratch,
-    ) -> Result<(), ReadError> {
-        Self::read_into_capped(r, req, scratch, MAX_BODY_BYTES)
-    }
-
-    /// [`read_into`](Request::read_into) with an explicit body cap — the
-    /// control plane sources `max_body` from the live config snapshot;
-    /// [`MAX_BODY_BYTES`] remains the unconfigured default.
-    pub fn read_into_capped(
-        r: &mut BufReader<impl Read>,
-        req: &mut Request,
-        scratch: &mut ReadScratch,
-        max_body: usize,
-    ) -> Result<(), ReadError> {
-        scratch.line.clear();
-        if r.read_line(&mut scratch.line)? == 0 {
-            return Err(ReadError::Eof);
-        }
-        {
-            let mut parts = scratch.line.split_whitespace();
-            match (parts.next(), parts.next(), parts.next()) {
-                (Some(m), Some(p), Some(v)) if v.starts_with("HTTP/") => {
-                    req.method.clear();
-                    req.method.push_str(m);
-                    req.path.clear();
-                    req.path.push_str(p);
-                }
-                _ => return Err(ReadError::BadRequest("malformed request line")),
-            }
-        }
-        read_header_block(r, &mut req.headers, &mut scratch.line)?;
-
-        let body_expected = matches!(req.method.as_str(), "POST" | "PUT" | "PATCH");
-        let len = match req.headers.get("content-length") {
-            None if body_expected => {
-                return Err(ReadError::BadRequest("missing content-length"))
-            }
-            None => 0,
-            Some(v) => v
-                .trim()
-                .parse::<u64>()
-                .map_err(|_| ReadError::BadRequest("unparseable content-length"))?,
-        };
-        if len > max_body as u64 {
-            return Err(ReadError::BadRequest("body exceeds size limit"));
-        }
-        req.body.clear();
-        req.body.resize(len as usize, 0);
-        r.read_exact(&mut req.body)?;
-        Ok(())
-    }
-
-    /// Incremental, resumable parse of one request from the front of `buf`.
-    ///
-    /// The nonblocking reactor path cannot sit in `read_line`: bytes arrive
-    /// whenever the kernel says so, possibly one at a time across many
-    /// readiness events. This parser is *pure* over the bytes accumulated so
-    /// far — it never blocks and never consumes; on
-    /// [`ParseStatus::Complete`] the caller drains `consumed` bytes and
-    /// keeps any pipelined remainder. On [`ParseStatus::NeedMore`] the
-    /// caller reads more and simply calls again with the grown buffer
-    /// (re-parsing the head is cheap next to the socket I/O around it).
-    ///
-    /// Framing rules match [`read_into`](Request::read_into), plus one
-    /// incremental-only bound: a head that exceeds [`MAX_HEAD_BYTES`]
-    /// without completing is rejected, so a slow-loris client cannot grow
-    /// the connection buffer forever.
+    /// * a `content-length` above [`MAX_BODY_BYTES`] is rejected;
+    /// * a head that exceeds [`MAX_HEAD_BYTES`] without completing is
+    ///   rejected, so a slow-loris client cannot grow the connection
+    ///   buffer forever.
     pub fn parse_into(buf: &[u8], req: &mut Request) -> Result<ParseStatus, ReadError> {
         Self::parse_into_capped(buf, req, MAX_BODY_BYTES)
     }
 
     /// [`parse_into`](Request::parse_into) with an explicit body cap — the
-    /// reactor path reads it from the live config snapshot once per
-    /// connection step; [`MAX_BODY_BYTES`] remains the default.
+    /// server reads it from the live config snapshot once per serving
+    /// step; [`MAX_BODY_BYTES`] remains the default.
     pub fn parse_into_capped(
         buf: &[u8],
         req: &mut Request,
@@ -480,9 +415,8 @@ impl Request {
 }
 
 /// Index one past the head's terminating blank line (the first line that
-/// trims to empty), or `None` when the head is still incomplete. Line
-/// endings follow the blocking parser's tolerance: `\n`-terminated, with
-/// trailing whitespace (including `\r`) ignored.
+/// trims to empty), or `None` when the head is still incomplete. Lines are
+/// `\n`-terminated, with trailing whitespace (including `\r`) ignored.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut line_start = 0;
     for (i, &b) in buf.iter().enumerate() {
@@ -697,13 +631,24 @@ impl std::fmt::Write for ByteWriter<'_> {
 mod tests {
     use super::*;
 
+    /// Parses `wire` as exactly one whole request into fresh storage.
+    fn parse_whole(wire: &[u8]) -> Result<Request, ReadError> {
+        let mut req = Request::empty();
+        match Request::parse_into(wire, &mut req)? {
+            ParseStatus::Complete { consumed } => {
+                assert_eq!(consumed, wire.len(), "bytes left after the request");
+                Ok(req)
+            }
+            ParseStatus::NeedMore => panic!("incomplete request: {wire:?}"),
+        }
+    }
+
     #[test]
     fn request_round_trips() {
         let req = Request::new("POST", "/encrypt", b"secret payload".to_vec());
         let mut buf = Vec::new();
         req.write_to(&mut buf).unwrap();
-        let mut reader = BufReader::new(&buf[..]);
-        let parsed = Request::read_from(&mut reader).unwrap();
+        let parsed = parse_whole(&buf).unwrap();
         assert_eq!(parsed.method, "POST");
         assert_eq!(parsed.path, "/encrypt");
         assert_eq!(parsed.body, b"secret payload");
@@ -726,27 +671,28 @@ mod tests {
         let req = Request::new("GET", "/", Vec::new());
         let mut buf = Vec::new();
         req.write_to(&mut buf).unwrap();
-        let parsed = Request::read_from(&mut BufReader::new(&buf[..])).unwrap();
+        let parsed = parse_whole(&buf).unwrap();
         assert!(parsed.body.is_empty());
     }
 
     #[test]
     fn malformed_request_line_is_error() {
-        let mut reader = BufReader::new(&b"NONSENSE\r\n\r\n"[..]);
-        assert!(Request::read_from(&mut reader).is_err());
+        assert!(Request::parse_into(b"NONSENSE\r\n\r\n", &mut Request::empty()).is_err());
     }
 
     #[test]
     fn truncated_body_is_error() {
+        // A truncated body never completes; the serving step counts EOF
+        // on it as an error (`server::tests::eof_is_an_error_only_mid_request`).
         let text = b"POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nabc";
-        let mut reader = BufReader::new(&text[..]);
-        assert!(Request::read_from(&mut reader).is_err());
+        let status = Request::parse_into(text, &mut Request::empty()).unwrap();
+        assert_eq!(status, ParseStatus::NeedMore);
     }
 
     #[test]
     fn header_lookup_is_case_insensitive_values_trimmed() {
         let text = b"GET /x HTTP/1.1\r\nX-Custom:   hello  \r\n\r\n";
-        let parsed = Request::read_from(&mut BufReader::new(&text[..])).unwrap();
+        let parsed = parse_whole(text).unwrap();
         assert_eq!(&parsed.headers["x-custom"], "hello");
         assert_eq!(&parsed.headers["X-CUSTOM"], "hello");
     }
@@ -754,7 +700,7 @@ mod tests {
     #[test]
     fn missing_content_length_means_empty_body_for_get() {
         let text = b"GET / HTTP/1.1\r\n\r\n";
-        let parsed = Request::read_from(&mut BufReader::new(&text[..])).unwrap();
+        let parsed = parse_whole(text).unwrap();
         assert!(parsed.body.is_empty());
     }
 
@@ -764,18 +710,14 @@ mod tests {
         // actual body bytes to poison the next request on the connection
         // (or the reader stalling on them until the I/O timeout).
         let text = b"POST /submit HTTP/1.1\r\n\r\nrogue body";
-        let mut req = Request::empty();
-        let mut scratch = ReadScratch::new();
-        let err = Request::read_into(&mut BufReader::new(&text[..]), &mut req, &mut scratch);
+        let err = Request::parse_into(text, &mut Request::empty());
         assert!(matches!(err, Err(ReadError::BadRequest(_))), "{err:?}");
     }
 
     #[test]
     fn unparseable_content_length_is_bad_request() {
         let text = b"POST / HTTP/1.1\r\ncontent-length: banana\r\n\r\n";
-        let mut req = Request::empty();
-        let mut scratch = ReadScratch::new();
-        let err = Request::read_into(&mut BufReader::new(&text[..]), &mut req, &mut scratch);
+        let err = Request::parse_into(text, &mut Request::empty());
         assert!(matches!(err, Err(ReadError::BadRequest(_))), "{err:?}");
     }
 
@@ -783,43 +725,17 @@ mod tests {
     fn oversized_content_length_is_bad_request_not_an_allocation() {
         let text = b"POST / HTTP/1.1\r\ncontent-length: 999999999999\r\n\r\n";
         let mut req = Request::empty();
-        let mut scratch = ReadScratch::new();
-        let err = Request::read_into(&mut BufReader::new(&text[..]), &mut req, &mut scratch);
+        let err = Request::parse_into(text, &mut req);
         assert!(matches!(err, Err(ReadError::BadRequest(_))), "{err:?}");
         assert!(req.body.capacity() <= MAX_BODY_BYTES);
     }
 
     #[test]
     fn clean_eof_before_request_is_eof_not_bad_request() {
-        let mut req = Request::empty();
-        let mut scratch = ReadScratch::new();
-        let err = Request::read_into(&mut BufReader::new(&b""[..]), &mut req, &mut scratch);
-        assert!(matches!(err, Err(ReadError::Eof)), "{err:?}");
-    }
-
-    #[test]
-    fn read_into_reuses_buffers_across_requests() {
-        let mut one = Vec::new();
-        Request::new("POST", "/a", vec![9u8; 64]).write_to(&mut one).unwrap();
-        let mut two = Vec::new();
-        Request::new("POST", "/bb", vec![7u8; 32]).write_to(&mut two).unwrap();
-        one.extend_from_slice(&two);
-
-        let mut reader = BufReader::new(&one[..]);
-        let mut req = Request::empty();
-        let mut scratch = ReadScratch::new();
-        Request::read_into(&mut reader, &mut req, &mut scratch).unwrap();
-        assert_eq!(req.path, "/a");
-        assert_eq!(req.body, vec![9u8; 64]);
-        let body_ptr = req.body.as_ptr();
-        let cap = req.body.capacity();
-
-        Request::read_into(&mut reader, &mut req, &mut scratch).unwrap();
-        assert_eq!(req.path, "/bb");
-        assert_eq!(req.body, vec![7u8; 32]);
-        assert_eq!(req.body.as_ptr(), body_ptr, "body buffer must be reused");
-        assert_eq!(req.body.capacity(), cap);
-        assert_eq!(req.headers.len(), 2);
+        // Nothing received is just "no request yet"; the serving step
+        // decides what EOF on an empty buffer means.
+        let status = Request::parse_into(b"", &mut Request::empty());
+        assert!(matches!(status, Ok(ParseStatus::NeedMore)), "{status:?}");
     }
 
     #[test]
@@ -830,17 +746,21 @@ mod tests {
             Request::new("POST", format!("/r{i}"), vec![i; 8]).write_to(&mut b).unwrap();
             stream.extend_from_slice(&b);
         }
-        let mut reader = BufReader::new(&stream[..]);
+        let mut rest = &stream[..];
         let mut req = Request::empty();
-        let mut scratch = ReadScratch::new();
         for i in 0..5u8 {
-            Request::read_into(&mut reader, &mut req, &mut scratch).unwrap();
+            let ParseStatus::Complete { consumed } = Request::parse_into(rest, &mut req).unwrap()
+            else {
+                panic!("request {i} incomplete");
+            };
+            rest = &rest[consumed..];
             assert_eq!(req.path, format!("/r{i}"));
             assert_eq!(req.body, vec![i; 8]);
         }
+        assert!(rest.is_empty());
         assert!(matches!(
-            Request::read_into(&mut reader, &mut req, &mut scratch),
-            Err(ReadError::Eof)
+            Request::parse_into(rest, &mut req),
+            Ok(ParseStatus::NeedMore)
         ));
     }
 
@@ -850,7 +770,7 @@ mod tests {
         let req = Request::new("POST", "/bulk", body.clone());
         let mut buf = Vec::new();
         req.write_to(&mut buf).unwrap();
-        let parsed = Request::read_from(&mut BufReader::new(&buf[..])).unwrap();
+        let parsed = parse_whole(&buf).unwrap();
         assert_eq!(parsed.body, body);
     }
 
@@ -868,7 +788,7 @@ mod tests {
         let req = Request::new("POST", "/x", body.clone());
         let mut buf = Vec::new();
         req.write_to(&mut buf).unwrap();
-        let parsed = Request::read_from(&mut BufReader::new(&buf[..])).unwrap();
+        let parsed = parse_whole(&buf).unwrap();
         assert_eq!(parsed.body, body);
     }
 
@@ -905,14 +825,6 @@ mod tests {
         ));
         // Tight cap: rejected before any body copy.
         let err = Request::parse_into_capped(&wire, &mut req, 1024);
-        assert!(matches!(err, Err(ReadError::BadRequest(_))), "{err:?}");
-        let mut scratch = ReadScratch::new();
-        let err = Request::read_into_capped(
-            &mut BufReader::new(&wire[..]),
-            &mut req,
-            &mut scratch,
-            1024,
-        );
         assert!(matches!(err, Err(ReadError::BadRequest(_))), "{err:?}");
     }
 
@@ -965,9 +877,7 @@ mod tests {
             text.extend_from_slice(format!("x-h{i}: v\r\n").as_bytes());
         }
         text.extend_from_slice(b"\r\n");
-        let mut req = Request::empty();
-        let mut scratch = ReadScratch::new();
-        let err = Request::read_into(&mut BufReader::new(&text[..]), &mut req, &mut scratch);
+        let err = Request::parse_into(&text, &mut Request::empty());
         assert!(matches!(err, Err(ReadError::BadRequest(_))), "{err:?}");
     }
 
@@ -1035,32 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_into_matches_blocking_parser_rules() {
-        let mut req = Request::empty();
-        // Malformed request line.
-        let err = Request::parse_into(b"NONSENSE\r\n\r\n", &mut req);
-        assert!(matches!(err, Err(ReadError::BadRequest(_))), "{err:?}");
-        // POST without content-length.
-        let err = Request::parse_into(b"POST /x HTTP/1.1\r\n\r\n", &mut req);
-        assert!(matches!(err, Err(ReadError::BadRequest(_))), "{err:?}");
-        // Unparseable content-length.
-        let err =
-            Request::parse_into(b"POST / HTTP/1.1\r\ncontent-length: nan\r\n\r\n", &mut req);
-        assert!(matches!(err, Err(ReadError::BadRequest(_))), "{err:?}");
-        // Oversized content-length is rejected before any body arrives.
-        let err = Request::parse_into(
-            b"POST / HTTP/1.1\r\ncontent-length: 999999999999\r\n\r\n",
-            &mut req,
-        );
-        assert!(matches!(err, Err(ReadError::BadRequest(_))), "{err:?}");
-        // GET without content-length is an empty body.
-        let status = Request::parse_into(b"GET /ok HTTP/1.1\r\n\r\n", &mut req).unwrap();
-        assert_eq!(status, ParseStatus::Complete { consumed: 20 });
-        assert_eq!(req.path, "/ok");
-        assert!(req.body.is_empty());
-    }
-
-    #[test]
     fn parse_into_rejects_unbounded_head() {
         let mut req = Request::empty();
         // Garbage with no terminator: tolerated until the cap, then 400.
@@ -1087,6 +971,112 @@ mod tests {
         assert_eq!(req.body, vec![6u8; 32]);
         assert_eq!(req.body.as_ptr(), body_ptr, "body buffer must be reused");
         assert_eq!(req.body.capacity(), cap);
+    }
+
+    /// What a connection's parser makes of a byte stream: the requests it
+    /// completes (each with its `consumed`), then the `400` message it
+    /// stops at, if any.
+    type Parsed = (Vec<(Request, usize)>, Option<&'static str>);
+
+    /// Feeds `wire` to one reused request shell the way a connection
+    /// receives it: the buffer grows to each of `cuts` in turn and then to
+    /// the whole, and after each growth every request it completes is
+    /// drained off the front, as `Conn::parse_step` does.
+    fn parse_fed(wire: &[u8], cuts: impl IntoIterator<Item = usize>, req: &mut Request) -> Parsed {
+        let mut done = Vec::new();
+        let mut start = 0;
+        for end in cuts.into_iter().chain([wire.len()]) {
+            loop {
+                match Request::parse_into(&wire[start..end], req) {
+                    Ok(ParseStatus::Complete { consumed }) => {
+                        done.push((req.clone(), consumed));
+                        start += consumed;
+                    }
+                    Ok(ParseStatus::NeedMore) => break,
+                    Err(ReadError::BadRequest(msg)) => return (done, Some(msg)),
+                    Err(e) => panic!("the parser reports only bad requests: {e:?}"),
+                }
+            }
+        }
+        (done, None)
+    }
+
+    #[test]
+    fn split_arrival_parses_exactly_like_whole_arrival() {
+        let wire = |r: Request| {
+            let mut w = Vec::new();
+            r.write_into(&mut w);
+            w
+        };
+        let post = wire(Request::new("POST", "/echo", b"hello world".to_vec()));
+        let get = wire(Request::new("GET", "/g", Vec::new()));
+        let crlf_body = b"\r\n\r\nGET / HTTP/1.1\r\n\r\n".to_vec();
+        let crlf = wire(Request::new("POST", "/crlf", crlf_body));
+        let lf = b"POST /lf HTTP/1.1\ncontent-length: 3\n\nabcGET /b HTTP/1.1\n\n".to_vec();
+        let sized = |len: &str| format!("POST / HTTP/1.1\r\ncontent-length: {len}\r\n\r\n");
+        let mut too_many = b"GET / HTTP/1.1\r\n".to_vec();
+        for i in 0..=MAX_HEADERS {
+            too_many.extend_from_slice(format!("x-h{i}: v\r\n").as_bytes());
+        }
+        too_many.extend_from_slice(b"\r\n");
+        // Streams that are whole requests, back to back.
+        let valid = [
+            b"GET /a HTTP/1.1\r\nhost: x\r\n\r\n".to_vec(),
+            post.clone(),
+            crlf,
+            [post.clone(), get.clone()].concat(),
+            [get.clone(), post].concat(),
+            lf,
+        ];
+        // Streams that end in a 400, with its message.
+        let malformed = [
+            (b"NONSENSE\r\n\r\n".to_vec(), "malformed request line"),
+            (
+                b"POST /x HTTP/1.1\r\n\r\nrogue".to_vec(),
+                "missing content-length",
+            ),
+            (sized("nan").into_bytes(), "unparseable content-length"),
+            (
+                sized("999999999999").into_bytes(),
+                "body exceeds size limit",
+            ),
+            (too_many, "too many headers"),
+            (
+                [get, b"BAD\n\n".to_vec()].concat(),
+                "malformed request line",
+            ),
+        ];
+        let cases = valid.iter().map(|w| (w, None));
+        let cases = cases.chain(malformed.iter().map(|(w, msg)| (w, Some(*msg))));
+        // One shell throughout, reused as a connection reuses it.
+        let mut req = Request::empty();
+        for (wire, error) in cases {
+            let whole = parse_fed(wire, [], &mut req);
+            assert_eq!(whole.1, error, "{wire:?}");
+            if error.is_none() {
+                let consumed: usize = whole.0.iter().map(|(_, n)| n).sum();
+                assert_eq!(consumed, wire.len(), "{wire:?}");
+            }
+            for cut in 0..=wire.len() {
+                let split = parse_fed(wire, [cut], &mut req);
+                assert_eq!(split, whole, "split at {cut} of {wire:?}");
+            }
+            let trickled = parse_fed(wire, 1..wire.len(), &mut req);
+            assert_eq!(trickled, whole, "byte at a time: {wire:?}");
+        }
+
+        // A head that never ends is refused once it passes the cap, however
+        // it arrives. (Each parse rescans the buffer, so splits are every
+        // byte around the cap and every 251st below it, to stay quadratic
+        // in a small number.)
+        let garbage = vec![b'a'; MAX_HEAD_BYTES + 64];
+        let whole = parse_fed(&garbage, [], &mut req);
+        assert_eq!(whole, (Vec::new(), Some("request head too large")));
+        let near_cap = MAX_HEAD_BYTES - 64..=garbage.len();
+        for cut in (0..MAX_HEAD_BYTES).step_by(251).chain(near_cap) {
+            let split = parse_fed(&garbage, [cut], &mut req);
+            assert_eq!(split, whole, "split at {cut}");
+        }
     }
 
     #[test]

@@ -38,8 +38,6 @@
 //! [`ReactorCounters`] conservation law `readiness_events == dispatched +
 //! spurious_ready`.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -47,198 +45,14 @@ use std::time::{Duration, Instant};
 use pyjama_sync::Mutex;
 use pyjama_control::ConfigHandle;
 use pyjama_metrics::ReactorCounters;
-use pyjama_trace::TraceId;
 
-use crate::message::{ParseStatus, ReadError, Request, Response};
-use crate::server::ServerOptions;
-
-/// Spare room a read needs in the connection's read buffer.
-const READ_CHUNK: usize = 16 * 1024;
+use crate::conn::Conn;
 
 /// Default deadline sweep cadence. Evictions are late by at most this much
 /// — fine for timeouts measured in hundreds of milliseconds. A control
 /// plane overrides it live through `Config::sweep_interval_ms`; this
 /// constant is the uncontrolled default and matches `Config::DEFAULT`.
 const SWEEP_MS: u64 = 25;
-
-// ---------------------------------------------------------------------------
-// Per-connection state
-// ---------------------------------------------------------------------------
-
-/// A connection as the reactor sees it: a non-blocking socket plus the
-/// buffers that make request parsing and response writing *resumable* — a
-/// `WouldBlock` at any byte boundary parks the connection back in the
-/// reactor and a later readiness event picks up exactly where it left off.
-/// It lives in one `Box` from accept to close, so handing it between the
-/// reactor and a serving region moves one pointer.
-pub(crate) struct ReactorConn {
-    sock: TcpStream,
-    /// Read buffer: `inbuf[..inlen]` are received, unparsed request bytes
-    /// (possibly several pipelined requests; parsed ones are drained off the
-    /// front), the rest is zeroed room the next read lands in. Kept across
-    /// requests; only the deadline sweep releases it.
-    inbuf: Vec<u8>,
-    inlen: usize,
-    /// Parsed-request shell, reused across requests.
-    pub(crate) req: Request,
-    /// Serialised response head, reused across responses.
-    head: Vec<u8>,
-    /// Response body being written (owned copy so the region that produced
-    /// it can retire while the write waits for `EPOLLOUT`).
-    body: Vec<u8>,
-    /// Bytes of `head ++ body` already written.
-    out_pos: usize,
-    /// True while a staged response has unwritten bytes.
-    pending: bool,
-    /// Close the socket once the staged response is fully written.
-    pub(crate) close_after_write: bool,
-    /// Requests fully served (response written) on this connection.
-    pub(crate) served: u32,
-    /// Causal trace id minted at accept.
-    pub(crate) trace: TraceId,
-    /// Effective per-session options captured at accept (a live
-    /// reconfiguration applies to *new* sessions).
-    pub(crate) opts: ServerOptions,
-    /// The socket is in the poller's interest set: its first arm `ADD`s it,
-    /// every later one `MOD`s it. Closing the socket removes it, so a new
-    /// connection that reuses the fd number starts over with an `ADD`.
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-    in_poller: bool,
-    /// A deadline sweep has seen the current registration idle; the next
-    /// one releases its buffers. Cleared by every registration.
-    swept_idle: bool,
-}
-
-impl ReactorConn {
-    /// Wraps an accepted stream: `TCP_NODELAY` and non-blocking for life.
-    pub(crate) fn new(stream: TcpStream) -> std::io::Result<Box<ReactorConn>> {
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        Ok(Box::new(ReactorConn {
-            sock: stream,
-            inbuf: Vec::new(),
-            inlen: 0,
-            req: Request::empty(),
-            head: Vec::new(),
-            body: Vec::new(),
-            out_pos: 0,
-            pending: false,
-            close_after_write: false,
-            served: 0,
-            trace: TraceId::NONE,
-            opts: ServerOptions::default(),
-            in_poller: false,
-            swept_idle: false,
-        }))
-    }
-
-    /// Received request bytes not yet parsed.
-    pub(crate) fn buffered(&self) -> usize {
-        self.inlen
-    }
-
-    /// One non-blocking read into the read buffer. `Ok(0)` is EOF;
-    /// `WouldBlock` propagates (the caller re-arms read interest).
-    pub(crate) fn read_step(&mut self) -> std::io::Result<usize> {
-        // Zero only growth: the initialised room is reused by every request.
-        let want = self.inlen + READ_CHUNK;
-        if self.inbuf.len() < want {
-            self.inbuf.resize(want, 0);
-        }
-        let n = (&self.sock).read(&mut self.inbuf[self.inlen..])?;
-        self.inlen += n;
-        Ok(n)
-    }
-
-    /// Tries to parse the next request off the front of the read buffer; a
-    /// complete request is drained from it (pipelined successors stay).
-    /// `max_body` is the (possibly config-sourced) body cap.
-    pub(crate) fn parse_step(&mut self, max_body: usize) -> Result<ParseStatus, ReadError> {
-        let status =
-            Request::parse_into_capped(&self.inbuf[..self.inlen], &mut self.req, max_body)?;
-        if let ParseStatus::Complete { consumed } = status {
-            self.inbuf.copy_within(consumed..self.inlen, 0);
-            self.inlen -= consumed;
-        }
-        Ok(status)
-    }
-
-    /// Stages `resp` for writing (head serialised into the reused buffer,
-    /// body copied so the response can outlive the handler's region).
-    pub(crate) fn stage_response(&mut self, resp: &Response, close: bool) {
-        let tok = if close { "close" } else { "keep-alive" };
-        resp.write_head_into(&mut self.head, Some(tok));
-        self.body.clear();
-        self.body.extend_from_slice(&resp.body);
-        self.out_pos = 0;
-        self.pending = true;
-        self.close_after_write = close;
-    }
-
-    /// True while staged response bytes remain unwritten.
-    pub(crate) fn has_pending_output(&self) -> bool {
-        self.pending
-    }
-
-    /// Releases buffer capacity an idle connection no longer needs. With
-    /// tens of thousands of parked keep-alive connections, per-connection
-    /// buffers (the 16 KiB read room, a possibly-large last response body)
-    /// dominate the server's memory footprint; an idle connection keeps
-    /// only its small reusable head buffer.
-    fn release_idle_buffers(&mut self) {
-        debug_assert!(self.inlen == 0 && !self.pending);
-        self.inbuf = Vec::new();
-        if self.body.capacity() > 4096 {
-            self.body = Vec::new();
-        }
-    }
-
-    /// Pushes staged response bytes at the socket until done or the socket
-    /// buffer fills. `Ok(())` means fully written; `WouldBlock` propagates
-    /// (the caller re-arms write interest and a later `EPOLLOUT` resumes
-    /// from `out_pos`).
-    pub(crate) fn write_step(&mut self) -> std::io::Result<()> {
-        use std::io::IoSlice;
-        let total = self.head.len() + self.body.len();
-        while self.out_pos < total {
-            let written = if self.out_pos < self.head.len() {
-                let head_rest = &self.head[self.out_pos..];
-                if self.body.is_empty() {
-                    (&self.sock).write(head_rest)
-                } else {
-                    (&self.sock)
-                        .write_vectored(&[IoSlice::new(head_rest), IoSlice::new(&self.body)])
-                }
-            } else {
-                (&self.sock).write(&self.body[self.out_pos - self.head.len()..])
-            };
-            match written {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "failed to write whole response",
-                    ))
-                }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        self.pending = false;
-        Ok(())
-    }
-}
-
-impl std::fmt::Debug for ReactorConn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReactorConn")
-            .field("peer", &self.sock.peer_addr().ok())
-            .field("served", &self.served)
-            .field("buffered", &self.inlen)
-            .field("pending_out", &self.pending)
-            .finish()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Registration protocol
@@ -269,7 +83,7 @@ pub(crate) enum RegKind {
 
 /// One registration handed to the reactor.
 pub(crate) struct Reg {
-    pub(crate) conn: Box<ReactorConn>,
+    pub(crate) conn: Box<Conn>,
     pub(crate) interest: Interest,
     /// Evict if no readiness arrives by this instant.
     pub(crate) deadline: Instant,
@@ -391,7 +205,7 @@ impl ReactorShared {
     /// of its slot — and evicts it via `on_timeout`; releases the buffers of
     /// every connection that has stayed idle since the previous sweep (one
     /// re-armed between requests of a busy session keeps them).
-    fn sweep(&self, expired: &mut Vec<Reg>, on_timeout: &impl Fn(Box<ReactorConn>, bool)) {
+    fn sweep(&self, expired: &mut Vec<Reg>, on_timeout: &impl Fn(Box<Conn>, bool)) {
         let now = Instant::now();
         {
             let mut table = self.table.lock();
@@ -441,8 +255,8 @@ impl Reactor {
     /// policy just posts a target region / bumps a counter.
     pub(crate) fn spawn(
         shared: Arc<ReactorShared>,
-        on_ready: impl Fn(Box<ReactorConn>, Interest) + Send + 'static,
-        on_timeout: impl Fn(Box<ReactorConn>, bool) + Send + 'static,
+        on_ready: impl Fn(Box<Conn>, Interest) + Send + 'static,
+        on_timeout: impl Fn(Box<Conn>, bool) + Send + 'static,
     ) -> std::io::Result<Reactor> {
         let thread = {
             let shared = Arc::clone(&shared);
@@ -638,7 +452,7 @@ impl Poller {
 
     /// Arms `conn` for one report of `interest` under `token`. Fails only
     /// on a dead socket.
-    fn arm(&self, conn: &mut ReactorConn, interest: Interest, token: u64) -> bool {
+    fn arm(&self, conn: &mut Conn, interest: Interest, token: u64) -> bool {
         let events = sys::EPOLLONESHOT
             | sys::EPOLLERR
             | sys::EPOLLHUP
@@ -651,16 +465,18 @@ impl Poller {
         } else {
             sys::EPOLL_CTL_ADD
         };
-        let ok = self.ctl(op, conn.sock.as_raw_fd(), events, token).is_ok();
+        let ok = self
+            .ctl(op, conn.socket().as_raw_fd(), events, token)
+            .is_ok();
         conn.in_poller |= ok;
         ok
     }
 
     /// Takes an armed socket out of the set, so its token goes quiet while
     /// the socket stays open.
-    fn disarm(&self, conn: &mut ReactorConn) {
+    fn disarm(&self, conn: &mut Conn) {
         if conn.in_poller {
-            let _ = self.ctl(sys::EPOLL_CTL_DEL, conn.sock.as_raw_fd(), 0, 0);
+            let _ = self.ctl(sys::EPOLL_CTL_DEL, conn.socket().as_raw_fd(), 0, 0);
             conn.in_poller = false;
         }
     }
@@ -680,7 +496,7 @@ impl Poller {
     fn wake(&self) {
         // A full pipe means a wake is already pending; any error here is
         // therefore ignorable.
-        let _ = (&self.wake_tx).write(&[1]);
+        let _ = std::io::Write::write(&mut &self.wake_tx, &[1]);
     }
 }
 
@@ -699,8 +515,8 @@ impl Drop for Poller {
 #[cfg(target_os = "linux")]
 fn reactor_loop(
     shared: Arc<ReactorShared>,
-    on_ready: impl Fn(Box<ReactorConn>, Interest),
-    on_timeout: impl Fn(Box<ReactorConn>, bool),
+    on_ready: impl Fn(Box<Conn>, Interest),
+    on_timeout: impl Fn(Box<Conn>, bool),
 ) {
     let mut events = [sys::EpollEvent { events: 0, data: 0 }; 256];
     let mut ready = Vec::with_capacity(events.len());
@@ -774,11 +590,11 @@ impl Poller {
         Ok(Poller)
     }
 
-    fn arm(&self, _conn: &mut ReactorConn, _interest: Interest, _token: u64) -> bool {
+    fn arm(&self, _conn: &mut Conn, _interest: Interest, _token: u64) -> bool {
         true
     }
 
-    fn disarm(&self, _conn: &mut ReactorConn) {}
+    fn disarm(&self, _conn: &mut Conn) {}
 
     fn wake(&self) {}
 }
@@ -792,8 +608,8 @@ impl Poller {
 #[cfg(not(target_os = "linux"))]
 fn reactor_loop(
     shared: Arc<ReactorShared>,
-    on_ready: impl Fn(Box<ReactorConn>, Interest),
-    on_timeout: impl Fn(Box<ReactorConn>, bool),
+    on_ready: impl Fn(Box<Conn>, Interest),
+    on_timeout: impl Fn(Box<Conn>, bool),
 ) {
     let mut ready = Vec::new();
     let mut expired = Vec::new();
@@ -811,7 +627,7 @@ fn reactor_loop(
                         Interest::Write => true,
                         // Data, `Ok(0)` = EOF, or an error to surface.
                         Interest::Read => !matches!(
-                            reg.conn.sock.peek(&mut probe),
+                            reg.conn.socket().peek(&mut probe),
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
                         ),
                     },
@@ -841,6 +657,9 @@ fn reactor_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::READ_CHUNK;
+    use crate::message::{ParseStatus, Response};
+    use std::io::Write as _;
     use std::net::{TcpListener, TcpStream};
     use std::sync::mpsc;
     use std::time::Duration;
@@ -852,7 +671,14 @@ mod tests {
         (a, b)
     }
 
-    fn reg(conn: Box<ReactorConn>, interest: Interest, deadline: Instant, idle: bool) -> Reg {
+    /// Wraps `s` in the reactor policy's socket mode: non-blocking.
+    fn conn(s: TcpStream) -> Box<Conn> {
+        let c = Conn::new(s).unwrap();
+        c.socket().set_nonblocking(true).unwrap();
+        c
+    }
+
+    fn reg(conn: Box<Conn>, interest: Interest, deadline: Instant, idle: bool) -> Reg {
         Reg {
             conn,
             interest,
@@ -862,7 +688,7 @@ mod tests {
         }
     }
 
-    fn rearm(conn: Box<ReactorConn>) -> Reg {
+    fn rearm(conn: Box<Conn>) -> Reg {
         Reg {
             conn,
             interest: Interest::Read,
@@ -873,7 +699,7 @@ mod tests {
     }
 
     /// Reads and parses until one whole request is in `c.req`.
-    fn read_request(c: &mut ReactorConn) {
+    fn read_request(c: &mut Conn) {
         while !matches!(
             c.parse_step(crate::message::MAX_BODY_BYTES).unwrap(),
             ParseStatus::Complete { .. }
@@ -895,7 +721,7 @@ mod tests {
 
         let (mut client, server) = pair();
         shared.register(reg(
-            ReactorConn::new(server).unwrap(),
+            conn(server),
             Interest::Read,
             Instant::now() + Duration::from_secs(30),
             true,
@@ -930,7 +756,7 @@ mod tests {
         .unwrap();
         let (client, server) = pair();
         shared.register(reg(
-            ReactorConn::new(server).unwrap(),
+            conn(server),
             Interest::Read,
             Instant::now() + Duration::from_millis(60),
             true,
@@ -960,7 +786,7 @@ mod tests {
         )
         .unwrap();
         let (_client, server) = pair();
-        let mut conn = ReactorConn::new(server).unwrap();
+        let mut conn = conn(server);
         conn.stage_response(&Response::ok(b"hi".to_vec()), false);
         shared.register(Reg {
             conn,
@@ -991,7 +817,7 @@ mod tests {
         .unwrap();
         let (client, server) = pair();
         shared.register(reg(
-            ReactorConn::new(server).unwrap(),
+            conn(server),
             Interest::Read,
             Instant::now() + Duration::from_secs(30),
             true,
@@ -1010,7 +836,7 @@ mod tests {
             Reactor::spawn(Arc::clone(&shared), |_, _| {}, |_, _| {}).unwrap();
         let (client, server) = pair();
         shared.register(reg(
-            ReactorConn::new(server).unwrap(),
+            conn(server),
             Interest::Read,
             Instant::now() + Duration::from_secs(30),
             true,
@@ -1027,7 +853,7 @@ mod tests {
         // Registering after stop silently closes the connection too.
         let (client2, server2) = pair();
         shared.register(reg(
-            ReactorConn::new(server2).unwrap(),
+            conn(server2),
             Interest::Read,
             Instant::now() + Duration::from_secs(30),
             true,
@@ -1046,7 +872,7 @@ mod tests {
         // with no owner, so every client sees its connection end.
         const CONNS: usize = 32;
         let shared = ReactorShared::new().unwrap();
-        let (ready_tx, ready_rx) = mpsc::channel::<Box<ReactorConn>>();
+        let (ready_tx, ready_rx) = mpsc::channel::<Box<Conn>>();
         let ready_rx = Arc::new(std::sync::Mutex::new(ready_rx));
         let mut reactor = Reactor::spawn(
             Arc::clone(&shared),
@@ -1073,7 +899,7 @@ mod tests {
         for _ in 0..CONNS {
             let (client, server) = pair();
             shared.register(reg(
-                ReactorConn::new(server).unwrap(),
+                conn(server),
                 Interest::Read,
                 Instant::now() + Duration::from_secs(30),
                 true,
@@ -1137,7 +963,7 @@ mod tests {
         for _ in 0..64 {
             let (client, server) = pair();
             shared.register(reg(
-                ReactorConn::new(server).unwrap(),
+                conn(server),
                 Interest::Read,
                 Instant::now() + Duration::from_secs(30),
                 true,
@@ -1183,7 +1009,7 @@ mod tests {
         .unwrap();
         let (mut client, server) = pair();
         shared.register(reg(
-            ReactorConn::new(server).unwrap(),
+            conn(server),
             Interest::Read,
             Instant::now() + Duration::from_secs(30),
             true,
@@ -1231,7 +1057,7 @@ mod tests {
         // be ADDed, not MODed, or it would never be reported.
         for round in 0..8 {
             let (mut client, server) = pair();
-            let conn = ReactorConn::new(server).unwrap();
+            let conn = conn(server);
             assert!(!conn.in_poller);
             shared.register(reg(
                 conn,
@@ -1270,7 +1096,7 @@ mod tests {
         .unwrap();
         let (mut client, server) = pair();
         shared.register(reg(
-            ReactorConn::new(server).unwrap(),
+            conn(server),
             Interest::Read,
             Instant::now() + Duration::from_secs(30),
             true,
@@ -1300,7 +1126,7 @@ mod tests {
     #[test]
     fn conn_write_step_resumes_after_would_block() {
         let (client, server) = pair();
-        let mut conn = ReactorConn::new(server).unwrap();
+        let mut conn = conn(server);
         // A body far larger than any socket buffer forces WouldBlock.
         let body = vec![0xA5u8; 16 * 1024 * 1024];
         conn.stage_response(&Response::ok(body.clone()), true);
