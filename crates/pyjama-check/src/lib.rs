@@ -1,10 +1,10 @@
 //! # pyjama-check — deterministic interleaving checking for the lock-free core
 //!
 //! A loom-style model checker for the protocols pyjama's runtime trusts:
-//! the Chase–Lev deque, the `WakeSignal` eventcount park, the omp pool's
-//! done-signal join, the control plane's snapshot cell and the live-shrink
-//! retire drain. Code under test runs on **virtual threads**
-//! whose every shared-memory operation goes through instrumented shims
+//! the Chase–Lev deque, the one spin-then-park `EventCount` and the
+//! `WakeSignal` permit park on it, the omp pool's done-signal join, the
+//! control plane's snapshot cell and the live-shrink retire drain. Code
+//! under test runs on **virtual threads** whose every shared-memory operation goes through instrumented shims
 //! ([`shim`]) and becomes a scheduling point; the [`Checker`] then executes
 //! the closure under many interleavings — bounded-exhaustive DFS first,
 //! seeded random schedules beyond that — and reports any failing schedule

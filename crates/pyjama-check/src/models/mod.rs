@@ -1,7 +1,14 @@
 //! Model ports of pyjama's core lock-free protocols — the Chase–Lev deque,
-//! the eventcount parker, the fork-join slot, the injector shutdown, the
-//! config-snapshot cell and the worker-retire drain — written against the
-//! [`crate::shim`] layer so the checker can explore their interleavings.
+//! the one spin-then-park eventcount and the permit parker built on it, the
+//! fork-join slot, the injector shutdown, the config-snapshot cell and the
+//! worker-retire drain — written against the [`crate::shim`] layer so the
+//! checker can explore their interleavings.
+//!
+//! Every production park site (omp pool slot, team barrier, task drain,
+//! the runtime's `WakeSignal`) waits on `pyjama_sync::EventCount`, so all
+//! of them rest on one model: [`event_count::ModelEventCount`]. The parker
+//! and pool-slot models are built on it rather than on private
+//! lock/condvar handshakes of their own.
 //!
 //! ## Port-sync discipline
 //!
@@ -11,7 +18,7 @@
 //! cost is drift risk, paid down two ways:
 //!
 //! 1. every model function cites the file/function it ports
-//!    (`deque.rs::pop`, `parker.rs::notify`, `pool.rs::signal_done`) and
+//!    (`deque.rs::pop`, `event_count.rs::wait`, `pool.rs::signal_done`) and
 //!    keeps the same operation order and memory orderings, and
 //! 2. the production modules carry a reciprocal comment pointing here, so
 //!    a reviewer touching an ordering knows a model must move with it.
@@ -27,6 +34,7 @@
 
 pub mod config_cell;
 pub mod deque;
+pub mod event_count;
 pub mod parker;
 pub mod pool_join;
 
@@ -56,9 +64,17 @@ pub enum Mutation {
     /// keep the already-read item anyway instead of discarding the whole
     /// batch. The winner of the CAS also claims that item — double claim.
     DequeStealHalfKeepOnCasFail,
-    /// `parker.rs::notify`: skip setting the permit when the target is not
-    /// currently parked. The notify-between-check-and-park window becomes a
-    /// lost wakeup (deadlock).
+    /// `event_count.rs::park`: re-check `ready()` under the lock *before*
+    /// publishing the sleeper. A notify between the two sees no sleeper and
+    /// skips the wake (deadlock).
+    EventCountRecheckBeforePublish,
+    /// `event_count.rs::notify`: call `notify_all` without passing through
+    /// the lock. The wake can fall between the sleeper's failed re-check
+    /// and its condvar wait (deadlock).
+    EventCountNotifySkipLock,
+    /// `parker.rs::notify`: skip setting the permit when the owner is not
+    /// registered as an eventcount sleeper. The notify-between-check-and-
+    /// park window becomes a lost wakeup (deadlock).
     ParkerNotifySkipPermit,
     /// `parker.rs::notify`: suppress the condvar wake by a "someone already
     /// woke it" flag that `park` never clears, instead of by the pending
@@ -73,9 +89,8 @@ pub enum Mutation {
     /// job's shared state. The joiner can observe done and retire the frame
     /// while the worker still writes into it.
     PoolDoneBeforeLastTouch,
-    /// `pool.rs::Slot::publish`: skip the notify when the worker flagged
-    /// itself parked. Lost wakeup: the worker sleeps forever on a full
-    /// slot.
+    /// `pool.rs::Slot::publish`: skip the eventcount notify. Lost wakeup: a
+    /// parked worker sleeps forever on a full slot.
     PoolPublishSkipNotify,
     /// `worker.rs::retire_park`: park on a shrink without draining the own
     /// deque into the injector. The stranded regions are unreachable until

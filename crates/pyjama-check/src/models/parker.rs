@@ -1,6 +1,6 @@
 //! Model port of `pyjama-runtime/src/parker.rs` — the permit-based
-//! [`WakeSignal`] eventcount and the `await_until_inner` barrier loop's
-//! spurious-wake accounting.
+//! [`WakeSignal`] on the one eventcount and the `await_until_inner`
+//! barrier loop's spurious-wake accounting.
 //!
 //! Port map:
 //! - [`ModelWakeSignal::notify`]     ⇔ `parker.rs::WakeSignal::notify`
@@ -8,100 +8,73 @@
 //! - [`ModelWakeSignal::park_timed`] ⇔ `parker.rs::WakeSignal::park_until`
 //!   (the deadline is abstracted: the scheduler may fire the timeout at
 //!   any moment, so every wake-vs-deadline race is explored)
+//! - the park itself is [`ModelEventCount::wait`] with spin 0
+//!   ⇔ `EventCount::wait(0, ..)`
 //! - [`model_await`]                 ⇔ `parker.rs::await_until_inner`
 //!   (help sources collapsed to one work counter; the caller deadline is
 //!   modelled as "a timed park timed out")
+//!
+//! [`WakeSignal`]: ModelWakeSignal
 
+use crate::models::event_count::{ModelEventCount, ModelWait};
 use crate::models::Mutation;
-use crate::shim::sync::{Condvar, Mutex};
+use crate::shim::atomic::{AtomicBool, Ordering};
 
-struct SignalState {
-    permit: bool,
-    parked: bool,
+/// ⇔ `parker.rs::WakeSignal`: an `AtomicBool` permit on an eventcount.
+pub struct ModelWakeSignal {
+    permit: AtomicBool,
     /// Only read under [`Mutation::ParkerStickyWokenFlag`]: "a notify
     /// already woke the owner", set by `notify` and never cleared.
-    woken: bool,
-}
-
-/// ⇔ `parker.rs::WakeSignal`: one-thread parker with permit semantics.
-pub struct ModelWakeSignal {
-    state: Mutex<SignalState>,
-    cond: Condvar,
+    woken: AtomicBool,
+    wake: ModelEventCount,
     mutation: Mutation,
 }
 
 impl ModelWakeSignal {
+    /// `mutation` applies to the signal and to its eventcount.
     pub fn new(mutation: Mutation) -> Self {
         ModelWakeSignal {
-            state: Mutex::named("signal.state", SignalState { permit: false, parked: false, woken: false }),
-            cond: Condvar::named("signal.cond"),
+            permit: AtomicBool::named("signal.permit", false),
+            woken: AtomicBool::named("signal.woken", false),
+            wake: ModelEventCount::new(mutation),
             mutation,
         }
     }
 
-    /// ⇔ `WakeSignal::notify`: store the permit; wake the owner if it is
-    /// parked and no permit was already pending (a pending permit means an
-    /// earlier notify saw the same park and its wake is in flight).
+    /// ⇔ `WakeSignal::notify`: swap the permit in; notify the eventcount
+    /// only if this call set it (a pending permit means an earlier notify
+    /// set it and its wake is in flight or will be seen by the park).
     pub fn notify(&self) {
-        let mut g = self.state.lock();
-        if self.mutation == Mutation::ParkerNotifySkipPermit && !g.parked {
+        if self.mutation == Mutation::ParkerNotifySkipPermit && self.wake.sleepers() == 0 {
             // BUG: only wake a currently-parked owner. A notify landing in
             // the window between the owner's "no work" check and its park
             // is dropped on the floor — the lost wakeup the permit exists
             // to prevent.
-            drop(g);
             return;
         }
-        let pending = std::mem::replace(&mut g.permit, true);
+        let pending = self.permit.swap(true, Ordering::SeqCst);
         let wake = if self.mutation == Mutation::ParkerStickyWokenFlag {
             // BUG: suppress the wake by "someone already woke it", a flag
-            // `park` never clears. The first park's wake silences every
-            // later one: the owner's second park sleeps on a set permit.
-            let wake = g.parked && !g.woken;
-            g.woken |= wake;
-            wake
+            // `park` never clears. The first wake silences every later
+            // one: the owner's second park sleeps on a set permit.
+            !self.woken.swap(true, Ordering::SeqCst)
         } else {
-            g.parked && !pending
+            !pending
         };
-        drop(g);
         if wake {
-            self.cond.notify_all();
+            self.wake.notify();
         }
     }
 
     /// ⇔ `WakeSignal::park`: consume a pending permit or block for one.
     pub fn park(&self) {
-        let mut g = self.state.lock();
-        if g.permit {
-            g.permit = false;
-            return;
-        }
-        g.parked = true;
-        while !g.permit {
-            self.cond.wait(&mut g);
-        }
-        g.permit = false;
-        g.parked = false;
+        self.wake.wait(0, false, || self.permit.swap(false, Ordering::SeqCst));
     }
 
     /// ⇔ `WakeSignal::park_until`, deadline abstracted to a scheduler
     /// choice. Returns `true` if a permit was consumed, `false` on timeout.
     pub fn park_timed(&self) -> bool {
-        let mut g = self.state.lock();
-        if g.permit {
-            g.permit = false;
-            return true;
-        }
-        g.parked = true;
-        while !g.permit {
-            if self.cond.wait_timed(&mut g) {
-                break;
-            }
-        }
-        g.parked = false;
-        let notified = g.permit;
-        g.permit = false;
-        notified
+        self.wake.wait(0, true, || self.permit.swap(false, Ordering::SeqCst)) != ModelWait::TimedOut
     }
 }
 

@@ -9,15 +9,17 @@
 //!   which is the interesting one; spinning adds schedules, not states)
 //! - [`ModelSlot::signal_done`] ⇔ `pool.rs::Worker::signal_done`
 //! - [`ModelSlot::wait_done`]   ⇔ `pool.rs::Worker::wait_done`
+//! - both directions park on one [`ModelEventCount`] ⇔ `Slot::wake`
 //! - [`ModelSlot::worker_run`]  ⇔ `pool.rs::worker_loop` body
 //! - [`ModelPool`]              ⇔ `pool.rs::lease`/`release` + the hot-team
 //!   take-out discipline of `with_workers`
 //! - [`ModelInjector`]          ⇔ `worker.rs::post`/`run_loop` idle-park /
 //!   `shutdown` / final drain
 
+use crate::models::event_count::ModelEventCount;
 use crate::models::Mutation;
 use crate::shim::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use crate::shim::sync::{Condvar, Mutex};
+use crate::shim::sync::Mutex;
 
 /// Sentinel for "no job value"; scenarios use small positive job ids.
 pub const NO_JOB: u64 = u64::MAX;
@@ -29,14 +31,11 @@ pub const NO_JOB: u64 = u64::MAX;
 /// erased borrow into the leader's frame.
 pub struct ModelSlot {
     full: AtomicBool,
-    parked: AtomicBool,
     done: AtomicBool,
-    joiner_parked: AtomicBool,
     job: AtomicU64,
     /// The "leader's stack frame": written by the worker as its last touch.
     pub frame: AtomicU64,
-    lock: Mutex<()>,
-    cond: Condvar,
+    wake: ModelEventCount,
     mutation: Mutation,
 }
 
@@ -44,43 +43,29 @@ impl ModelSlot {
     pub fn new(mutation: Mutation) -> Self {
         ModelSlot {
             full: AtomicBool::named("slot.full", false),
-            parked: AtomicBool::named("slot.parked", false),
             done: AtomicBool::named("slot.done", false),
-            joiner_parked: AtomicBool::named("slot.joiner_parked", false),
             job: AtomicU64::named("slot.job", NO_JOB),
             frame: AtomicU64::named("slot.frame", NO_JOB),
-            lock: Mutex::named("slot.lock", ()),
-            cond: Condvar::named("slot.cond"),
+            wake: ModelEventCount::new(mutation),
             mutation,
         }
     }
 
     /// Leaseholder side. ⇔ `Worker::publish`: job write, SeqCst full
-    /// publish, lock-protected notify iff the worker flagged itself parked.
+    /// publish, eventcount notify.
     pub fn publish(&self, job: u64) {
         self.job.store(job, Ordering::Relaxed);
         self.full.store(true, Ordering::SeqCst);
-        if self.parked.load(Ordering::SeqCst) {
-            if self.mutation == Mutation::PoolPublishSkipNotify {
-                // BUG: leave a parked worker asleep on a full slot.
-                return;
-            }
-            let _g = self.lock.lock();
-            self.cond.notify_one();
+        if self.mutation == Mutation::PoolPublishSkipNotify {
+            // BUG: leave a parked worker asleep on a full slot.
+            return;
         }
+        self.wake.notify();
     }
 
-    /// Worker side. ⇔ `Worker::next_job` with spin budget 0: park-path
-    /// only — flag parked under the lock, re-check full, wait.
+    /// Worker side. ⇔ `Worker::next_job` with spin budget 0.
     pub fn next_job(&self) -> u64 {
-        while !self.full.load(Ordering::SeqCst) {
-            let mut g = self.lock.lock();
-            self.parked.store(true, Ordering::SeqCst);
-            if !self.full.load(Ordering::SeqCst) {
-                self.cond.wait(&mut g);
-            }
-            self.parked.store(false, Ordering::SeqCst);
-        }
+        self.wake.wait(0, false, || self.full.load(Ordering::SeqCst));
         let job = self.job.load(Ordering::Relaxed);
         self.full.store(false, Ordering::SeqCst);
         job
@@ -89,22 +74,12 @@ impl ModelSlot {
     /// Worker side. ⇔ `Worker::signal_done`.
     pub fn signal_done(&self) {
         self.done.store(true, Ordering::SeqCst);
-        if self.joiner_parked.load(Ordering::SeqCst) {
-            let _g = self.lock.lock();
-            self.cond.notify_all();
-        }
+        self.wake.notify();
     }
 
     /// Leaseholder side. ⇔ `Worker::wait_done` with spin budget 0.
     pub fn wait_done(&self) {
-        while !self.done.load(Ordering::SeqCst) {
-            let mut g = self.lock.lock();
-            self.joiner_parked.store(true, Ordering::SeqCst);
-            if !self.done.load(Ordering::SeqCst) {
-                self.cond.wait(&mut g);
-            }
-            self.joiner_parked.store(false, Ordering::SeqCst);
-        }
+        self.wake.wait(0, false, || self.done.load(Ordering::SeqCst));
         self.done.store(false, Ordering::SeqCst);
     }
 

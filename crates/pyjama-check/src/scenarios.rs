@@ -1,5 +1,5 @@
-//! The adversarial scenario suite: the three ported protocols driven
-//! through their known-hairy windows, plus the seeded-mutation tests that
+//! The adversarial scenario suite: the ported protocols driven through
+//! their known-hairy windows, plus the seeded-mutation tests that
 //! prove the checker catches reintroduced bugs.
 //!
 //! Structure of every mutation test: the *same* scenario closure is run
@@ -14,6 +14,7 @@ use std::sync::Mutex as StdMutex;
 
 use crate::models::config_cell::{ModelConfigCell, ModelRetirePool};
 use crate::models::deque::{ModelDeque, ModelSteal};
+use crate::models::event_count::{ModelEventCount, ModelWait};
 use crate::models::parker::{model_await, ModelWakeSignal};
 use crate::models::pool_join::{ModelInjector, ModelPool, ModelSlot, NO_JOB};
 use crate::models::Mutation;
@@ -303,7 +304,8 @@ fn mutation_deque_steal_skip_cas_caught() {
         "deque-steal-skip-cas",
         deque_one_item_scenario(Mutation::DequeStealSkipCas),
     );
-    assert_caught("deque-steal-skip-cas", fail);
+    let fail = assert_caught("deque-steal-skip-cas", fail);
+    assert_replays(&fail, deque_one_item_scenario(Mutation::DequeStealSkipCas));
 }
 
 #[test]
@@ -322,6 +324,122 @@ fn mutation_deque_steal_half_keep_on_cas_fail_caught() {
         &fail,
         deque_steal_half_scenario(Mutation::DequeStealHalfKeepOnCasFail),
     );
+}
+
+// ----------------------------------------------------------- event count
+
+/// Scenario: notify racing a spin-exhausted wait. The waiter probes the
+/// flag twice more before publishing itself as a sleeper; the notifier
+/// sets the flag and notifies. Every interleaving must get the waiter out
+/// (a lost wake surfaces as deadlock) with the sleeper count back at zero.
+fn ec_spin_exhausted_scenario(mutation: Mutation) -> impl Fn() + Send + Sync {
+    move || {
+        let ec = Arc::new(ModelEventCount::new(mutation));
+        let flag = Arc::new(shim::AtomicBool::named("ready", false));
+        let t = {
+            let (ec, flag) = (Arc::clone(&ec), Arc::clone(&flag));
+            shim::thread::spawn("notifier", move || {
+                flag.store(true, SeqCst);
+                ec.notify();
+            })
+        };
+        let w = ec.wait(2, false, || flag.load(SeqCst));
+        assert_ne!(w, ModelWait::TimedOut, "an untimed wait cannot time out");
+        assert!(flag.load(SeqCst), "wait returned before the condition held");
+        t.join();
+        assert_eq!(ec.sleepers(), 0, "a released waiter stayed registered");
+    }
+}
+
+/// Scenario: notify racing a deadline. The timed wait may time out at any
+/// moment, the notify's wake included; a timed-out wait must report the
+/// condition still false at its last check, and the untimed re-wait that
+/// follows must still be released by the in-flight notify.
+fn ec_deadline_scenario(mutation: Mutation) -> impl Fn() + Send + Sync {
+    move || {
+        let ec = Arc::new(ModelEventCount::new(mutation));
+        let flag = Arc::new(shim::AtomicBool::named("ready", false));
+        let t = {
+            let (ec, flag) = (Arc::clone(&ec), Arc::clone(&flag));
+            shim::thread::spawn("notifier", move || {
+                flag.store(true, SeqCst);
+                ec.notify();
+            })
+        };
+        if ec.wait(0, true, || flag.load(SeqCst)) == ModelWait::TimedOut {
+            let w = ec.wait(0, false, || flag.load(SeqCst));
+            assert_ne!(w, ModelWait::TimedOut);
+        }
+        assert!(flag.load(SeqCst), "wait returned before the condition held");
+        t.join();
+        assert_eq!(ec.sleepers(), 0, "a released waiter stayed registered");
+    }
+}
+
+/// Scenario: two waiters on different conditions share one eventcount (the
+/// pool slot's worker and leader, or several barrier members). Each
+/// notify wakes every sleeper; each must re-check its own condition.
+fn ec_two_conditions_scenario(mutation: Mutation) -> impl Fn() + Send + Sync {
+    move || {
+        let ec = Arc::new(ModelEventCount::new(mutation));
+        let a = Arc::new(shim::AtomicBool::named("a", false));
+        let b = Arc::new(shim::AtomicBool::named("b", false));
+        let waiter = {
+            let (ec, a) = (Arc::clone(&ec), Arc::clone(&a));
+            shim::thread::spawn("waiter-a", move || {
+                ec.wait(0, false, || a.load(SeqCst));
+            })
+        };
+        let notifier = {
+            let (ec, a, b) = (Arc::clone(&ec), Arc::clone(&a), Arc::clone(&b));
+            shim::thread::spawn("notifier", move || {
+                b.store(true, SeqCst);
+                ec.notify();
+                a.store(true, SeqCst);
+                ec.notify();
+            })
+        };
+        ec.wait(0, false, || b.load(SeqCst));
+        waiter.join();
+        notifier.join();
+        assert_eq!(ec.sleepers(), 0);
+    }
+}
+
+#[test]
+fn event_count_notify_vs_spin_exhausted_wait_ok() {
+    wide().check("ec-spin-exhausted", ec_spin_exhausted_scenario(Mutation::None));
+}
+
+#[test]
+fn event_count_notify_vs_deadline_ok() {
+    wide().check("ec-deadline", ec_deadline_scenario(Mutation::None));
+}
+
+#[test]
+fn event_count_two_conditions_one_count_ok() {
+    wide().check("ec-two-conditions", ec_two_conditions_scenario(Mutation::None));
+}
+
+#[test]
+fn mutation_event_count_recheck_before_publish_caught() {
+    let m = Mutation::EventCountRecheckBeforePublish;
+    let fail = wide().find_failure("ec-recheck-first", ec_spin_exhausted_scenario(m));
+    let fail = assert_caught("ec-recheck-first", fail);
+    assert!(fail.message.contains("deadlock"), "expected lost wakeup, got: {}", fail.message);
+    assert_replays(&fail, ec_spin_exhausted_scenario(m));
+}
+
+#[test]
+fn mutation_event_count_notify_skip_lock_caught() {
+    let m = Mutation::EventCountNotifySkipLock;
+    let fail = wide().find_failure("ec-skip-lock", ec_spin_exhausted_scenario(m));
+    let fail = assert_caught("ec-skip-lock", fail);
+    assert!(fail.message.contains("deadlock"), "expected lost wakeup, got: {}", fail.message);
+    assert_replays(&fail, ec_spin_exhausted_scenario(m));
+    let fail = wide().find_failure("ec-skip-lock-deadline", ec_deadline_scenario(m));
+    let fail = assert_caught("ec-skip-lock-deadline", fail);
+    assert_replays(&fail, ec_deadline_scenario(m));
 }
 
 // ---------------------------------------------------------------- parker
@@ -572,6 +690,7 @@ fn mutation_pool_publish_skip_notify_caught() {
     );
     let fail = assert_caught("pool-skip-notify", fail);
     assert!(fail.message.contains("deadlock"), "expected lost wakeup, got: {}", fail.message);
+    assert_replays(&fail, pool_join_scenario(Mutation::PoolPublishSkipNotify));
 }
 
 // ----------------------------------------------------- injector shutdown

@@ -16,9 +16,6 @@ use std::fmt;
 pub struct Config {
     /// Logical worker-thread count for attached work-stealing pools.
     pub workers: usize,
-    /// Hint: how many virtual targets the deployment intends to run
-    /// (reported through `/admin`; informational, not enforced).
-    pub virtual_targets: usize,
     /// Close a connection after this many responses (HTTP).
     pub max_requests_per_conn: u32,
     /// Evict a keep-alive connection idle for this many milliseconds.
@@ -29,8 +26,9 @@ pub struct Config {
     pub sweep_interval_ms: u64,
     /// Largest request body accepted, bytes (was a hard-coded 8 MiB).
     pub max_body_bytes: usize,
-    /// Spin budget override for the runtime's adaptive spins
-    /// (`None` = leave the built-in/`PJ_SPIN_BUDGET` default in force).
+    /// Spin budget override for every spinning `EventCount` wait
+    /// (`pyjama_sync::spin`; `None` = leave the built-in/`PJ_SPIN_BUDGET`
+    /// default in force).
     pub spin_budget: Option<u32>,
     /// Shed requests with 429 when queue depth exceeds this
     /// (0 = admission control disabled).
@@ -43,7 +41,6 @@ impl Config {
     /// The defaults the data plane shipped with before it was configurable.
     pub const DEFAULT: Config = Config {
         workers: 4,
-        virtual_targets: 1,
         max_requests_per_conn: 1000,
         idle_timeout_ms: 2_000,
         io_timeout_ms: 500,

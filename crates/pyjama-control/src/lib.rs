@@ -22,7 +22,7 @@
 //! `pyjama-runtime` work-stealing pool live (graceful retire — a removed
 //! worker drains its deque into the injector before parking permanently),
 //! and [`ControlPlane::attach_spin_budget`] retunes
-//! `pyjama_omp::spin::budget()` on the fly. `pyjama-http` consumes a
+//! `pyjama_sync::spin::budget()` on the fly. `pyjama-http` consumes a
 //! [`ConfigHandle`] for connection limits, the reactor sweep interval, the
 //! body cap, and 429 admission shedding, and exposes the plane over an
 //! `/admin` HTTP listener.

@@ -207,13 +207,14 @@ impl ControlPlane {
         });
     }
 
-    /// Wires the runtime spin budget to `Config::spin_budget`: when the
-    /// override changes, the new value takes effect on the next
-    /// `spin::budget()` call in every pool.
+    /// Wires the spin budget to `Config::spin_budget`: when the override
+    /// changes, the new value takes effect on the next
+    /// `pyjama_sync::spin::budget()` call, i.e. the next `EventCount` wait
+    /// that spins.
     pub fn attach_spin_budget(&self) {
         self.subscribe("spin-budget", |cfg, diff| {
             if diff.spin_budget {
-                pyjama_omp::spin::set_spin_budget(cfg.spin_budget);
+                pyjama_sync::spin::set_spin_budget(cfg.spin_budget);
             }
         });
     }

@@ -152,12 +152,11 @@ fn json_error(status: Status, msg: &str) -> Response {
 fn config_json(cfg: &Config, generation: u64) -> String {
     format!(
         "{{\"generation\":{generation},\"config\":{{\
-         \"workers\":{},\"virtual_targets\":{},\"max_requests_per_conn\":{},\
+         \"workers\":{},\"max_requests_per_conn\":{},\
          \"idle_timeout_ms\":{},\"io_timeout_ms\":{},\"sweep_interval_ms\":{},\
          \"max_body_bytes\":{},\"spin_budget\":{},\
          \"admission_threshold\":{},\"retry_after_secs\":{}}}}}",
         cfg.workers,
-        cfg.virtual_targets,
         cfg.max_requests_per_conn,
         cfg.idle_timeout_ms,
         cfg.io_timeout_ms,
@@ -208,7 +207,6 @@ fn parse_config_patch(body: &str, mut cfg: Config) -> Result<Config, String> {
         let val = v.trim();
         match key {
             "workers" => cfg.workers = parse_num(key, val)?,
-            "virtual_targets" => cfg.virtual_targets = parse_num(key, val)?,
             "max_requests_per_conn" => cfg.max_requests_per_conn = parse_num(key, val)?,
             "idle_timeout_ms" => cfg.idle_timeout_ms = parse_num(key, val)?,
             "io_timeout_ms" => cfg.io_timeout_ms = parse_num(key, val)?,
@@ -392,6 +390,9 @@ mod tests {
         assert!(parse_config_patch(r#"{"workers": "four"}"#, base).is_err());
         assert!(parse_config_patch(r#"{"workers" 4}"#, base).is_err());
         assert!(parse_config_patch("", base).is_err());
+        // A removed knob is an unknown key (a 400 from POST /config).
+        let err = parse_config_patch(r#"{"virtual_targets": 2}"#, base).unwrap_err();
+        assert!(err.contains("unknown config key"), "{err}");
         // Empty object is a valid no-op patch.
         assert_eq!(parse_config_patch("{}", base).unwrap(), base);
     }

@@ -1,34 +1,19 @@
-//! A reusable sense-reversing spin-then-park barrier.
-//!
-//! The team barrier is the hottest synchronisation primitive in a
-//! fork-join runtime: with pooled workers, every region pays the join
-//! barrier even when its body is sub-microsecond, and every `ctx.barrier()`
-//! pays it again. The previous design took a mutex and a condvar
-//! round-trip on *every* arrival; for region bodies shorter than a context
-//! switch that lock traffic dominated the region.
-//!
-//! This barrier keeps the classic sense-reversing shape but moves the fast
-//! path entirely onto atomics:
+//! A reusable sense-reversing spin-then-park barrier: the rendezvous
+//! behind `ctx.barrier()`. (Region *join* does not go through it: pooled
+//! workers signal completion into their own `'static` slots — see
+//! [`crate::pool`] — and the leader does not pop the frame holding the
+//! barrier until every member has signalled, so no participant can still
+//! be inside [`Barrier::wait`] when the barrier is dropped.)
 //!
 //! * Arrival is one `fetch_sub` on the remaining-count. The last arrival
 //!   resets the count and bumps the atomic *generation word*, which is the
 //!   only thing waiters watch — the sense reversal that makes immediate
 //!   reuse safe (a thread can never lap a barrier it has not exited).
-//! * Waiters spin a bounded budget ([`SPIN_LIMIT`], calibrated so that
+//! * Waiters wait on the workspace's one [`EventCount`] for the generation
+//!   word to move: a bounded spin ([`SPIN_LIMIT`], calibrated so that
 //!   sub-µs region bodies and back-to-back barriers resolve without a
-//!   syscall), then park on a condvar with the same permit discipline as
-//!   `pyjama-runtime`'s parker: the sleeper count is published *before*
-//!   re-checking the generation under the lock, and the opener notifies
-//!   under the same lock, so a wake between "spin failed" and "parked"
-//!   is never lost.
-//! * [`Barrier::quiesce`] lets an owner whose barrier lives on its stack
-//!   wait until every other participant has fully stepped out of
-//!   [`wait`](Barrier::wait) before the memory is reclaimed — each
-//!   waiter's very last touch of the barrier is a `Release` decrement of
-//!   the active count, and `quiesce` acquires on it. (Region *join* does
-//!   not go through this barrier at all: pooled workers signal completion
-//!   into their own `'static` slots — see [`crate::pool`] — so this
-//!   barrier only serves explicit `ctx.barrier()` rendezvous.)
+//!   syscall), then a park. The opener's notify takes the eventcount's
+//!   lock only when someone sleeps.
 //!
 //! Spin-vs-park outcomes are counted in the crate's [`TeamStats`]
 //! (`pyjama_omp::team_stats()`) so a traced run can show whether its
@@ -38,7 +23,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pyjama_sync::{Condvar, Mutex};
+use pyjama_sync::{EventCount, Wait};
 
 use crate::COUNTERS;
 
@@ -46,7 +31,7 @@ use crate::COUNTERS;
 /// the "small kernel region" regime: a few microseconds of spinning —
 /// enough for every member of an empty or sub-µs region to arrive, far too
 /// short to matter when a member is off running a millisecond kernel.
-/// Collapses to zero on single-CPU machines (see [`crate::spin::budget`]).
+/// Collapses to zero on single-CPU machines (see [`pyjama_sync::spin::budget`]).
 const SPIN_LIMIT: u32 = 4096;
 
 /// A reusable barrier for a fixed-size team.
@@ -57,12 +42,8 @@ pub struct Barrier {
     /// Bumps every time the barrier opens. Waiters watch this word (not the
     /// count), which is what makes immediate reuse lap-safe.
     generation: AtomicUsize,
-    /// Waiters currently parked on the condvar.
-    sleepers: AtomicUsize,
-    /// Participants currently inside `wait` (see [`Barrier::quiesce`]).
-    active: AtomicUsize,
-    lock: Mutex<()>,
-    cond: Condvar,
+    /// Non-leaders park here until the generation moves.
+    opened: EventCount,
 }
 
 impl Barrier {
@@ -76,10 +57,7 @@ impl Barrier {
             n,
             remaining: AtomicUsize::new(n),
             generation: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            active: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cond: Condvar::new(),
+            opened: EventCount::new(),
         }
     }
 
@@ -92,72 +70,24 @@ impl Barrier {
     /// generation. Returns `true` on exactly one participant per generation
     /// (the "leader", the last to arrive), `false` on the others.
     pub fn wait(&self) -> bool {
-        self.active.fetch_add(1, Ordering::SeqCst);
         let gen = self.generation.load(Ordering::SeqCst);
-        let leader = if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+        if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
             // Last arrival: reset the count for the next generation *before*
             // opening this one — a released waiter may re-enter immediately.
             self.remaining.store(self.n, Ordering::SeqCst);
             self.generation.store(gen.wrapping_add(1), Ordering::SeqCst);
-            if self.sleepers.load(Ordering::SeqCst) > 0 {
-                // Sleepers publish themselves before re-checking the
-                // generation under this lock; holding it across the notify
-                // closes the publish/park window.
-                let _g = self.lock.lock();
-                self.cond.notify_all();
-            }
-            true
+            self.opened.notify();
+            return true;
+        }
+        let waited = self.opened.wait(SPIN_LIMIT, None, || {
+            self.generation.load(Ordering::SeqCst) != gen
+        });
+        if waited == Wait::Parked {
+            COUNTERS.barrier_parks.inc();
         } else {
-            self.wait_slow(gen);
-            false
-        };
-        // Last touch of barrier memory on every path: `quiesce` acquires on
-        // this count before the owner may free the barrier.
-        self.active.fetch_sub(1, Ordering::Release);
-        leader
-    }
-
-    /// The non-leader path: bounded spin on the generation word, then park.
-    fn wait_slow(&self, gen: usize) {
-        let limit = crate::spin::budget(SPIN_LIMIT);
-        let mut spins = 0u32;
-        while spins < limit {
-            if self.generation.load(Ordering::SeqCst) != gen {
-                COUNTERS.barrier_spins.inc();
-                return;
-            }
-            std::hint::spin_loop();
-            spins += 1;
+            COUNTERS.barrier_spins.inc();
         }
-        let mut g = self.lock.lock();
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        COUNTERS.barrier_parks.inc();
-        while self.generation.load(Ordering::SeqCst) == gen {
-            self.cond.wait(&mut g);
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Spins (then yields) until no participant is inside [`wait`]. After
-    /// `quiesce` returns, the owner may drop the barrier even though other
-    /// participants are pooled threads that outlive it: their final access
-    /// was the `Release` decrement this method acquires on.
-    ///
-    /// Only meaningful after the caller's own `wait` returned — every other
-    /// participant has then arrived and is merely stepping out.
-    ///
-    /// [`wait`]: Barrier::wait
-    pub fn quiesce(&self) {
-        let limit = crate::spin::budget(SPIN_LIMIT);
-        let mut spins = 0u32;
-        while self.active.load(Ordering::Acquire) != 0 {
-            if spins < limit {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-            spins = spins.saturating_add(1);
-        }
+        false
     }
 }
 
@@ -177,7 +107,6 @@ mod tests {
         let b = Barrier::new(1);
         assert!(b.wait());
         assert!(b.wait());
-        b.quiesce();
     }
 
     #[test]
@@ -269,33 +198,5 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(50));
         b.wait();
         t.join().unwrap();
-        b.quiesce();
-    }
-
-    #[test]
-    fn quiesce_returns_after_all_exits() {
-        const N: usize = 4;
-        const GENS: usize = 200;
-        let b = Arc::new(Barrier::new(N));
-        let hs: Vec<_> = (1..N)
-            .map(|_| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || {
-                    for _ in 0..GENS {
-                        b.wait();
-                    }
-                })
-            })
-            .collect();
-        for _ in 0..GENS {
-            b.wait();
-        }
-        // After our last wait every other participant has arrived; quiesce
-        // must observe all of them leaving.
-        b.quiesce();
-        assert_eq!(b.active.load(Ordering::SeqCst), 0);
-        for h in hs {
-            h.join().unwrap();
-        }
     }
 }

@@ -30,9 +30,10 @@
 //! keeps its last team composition cached ("hot team", libgomp-style), so
 //! back-to-back regions of the same size re-dispatch onto the same parked
 //! threads with two atomic handoffs and no lock on the global pool. Fork
-//! dispatch, region join, and explicit [`Ctx::barrier`] (a sense-reversing
-//! [`Barrier`]) all use the same spin-then-park waiting discipline, with
-//! spin budgets that collapse to zero on single-CPU machines.
+//! dispatch, region join, explicit [`Ctx::barrier`] (a sense-reversing
+//! [`Barrier`]) and the region-end task drain all wait on
+//! [`pyjama_sync::EventCount`], the workspace's one spin-then-park wait,
+//! with spin budgets that collapse to zero on single-CPU machines.
 //! [`team_stats`] exposes counters (regions forked, threads spawned vs
 //! reused, barrier spins vs parks) that satisfy the conservation law
 //! `threads_spawned + threads_reused == member_activations`.
@@ -56,12 +57,13 @@
 //! assert_eq!(sum.load(Ordering::Relaxed), 499_500);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod barrier;
 pub mod pool;
 pub mod registry;
 pub mod schedule;
 pub mod sections;
-pub mod spin;
 pub mod sync;
 pub mod tasks;
 pub mod team;

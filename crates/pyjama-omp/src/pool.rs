@@ -26,18 +26,21 @@
 //!   with joins; the public scoped `'env` API is unchanged for all
 //!   callers.
 //!
-//! Workers waiting for a fork use the same spin-then-park discipline as
-//! the team barrier: a bounded spin keeps back-to-back regions
-//! syscall-free, then the worker parks on its slot's condvar. Activations
-//! are counted in [`TeamStats`] (`threads_spawned` vs `threads_reused`;
-//! see the conservation law there).
+//! Both directions of the handoff wait on one [`EventCount`] per slot: an
+//! idle worker on `full`, the leader on `done`. The leader only waits while
+//! the worker runs the job, so the two practically never sleep at once, and
+//! a notify wakes every registered sleeper to re-check its own flag. A
+//! bounded spin keeps back-to-back regions syscall-free; longer gaps park. Activations are counted in
+//! [`TeamStats`] (`threads_spawned` vs `threads_reused`; see the
+//! conservation law there).
 //!
 //! Model-checked twin: `pyjama-check/src/models/pool_join.rs` ports the
-//! [`Slot`] publish/next_job/signal_done/wait_done protocol and the lease
-//! discipline onto instrumented shims; its mutation suite re-introduces
-//! the early-done and skipped-notify bugs and asserts the checker catches
-//! them. Keep the port in sync with protocol changes here — DESIGN.md §5h
-//! also carries the full join soundness argument.
+//! [`Slot`] publish/next_job/signal_done/wait_done protocol (on the
+//! `ModelEventCount` twin of [`EventCount`]) and the lease discipline onto
+//! instrumented shims; its mutation suite re-introduces the early-done and
+//! skipped-notify bugs and asserts the checker catches them. Keep the port
+//! in sync with protocol changes here — DESIGN.md §5h also carries the full
+//! join soundness argument.
 //!
 //! [`parallel`]: crate::parallel
 //! [`TeamStats`]: pyjama_metrics::TeamStats
@@ -46,7 +49,7 @@ use std::cell::{RefCell, UnsafeCell};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pyjama_sync::{Condvar, Mutex};
+use pyjama_sync::{EventCount, Mutex, Wait};
 
 use crate::COUNTERS;
 
@@ -67,9 +70,11 @@ pub(crate) struct Job {
     member: *const (dyn Fn(usize) + Sync),
 }
 
-// Safety: the pointee is `Sync` (the bound is in the erased type) and the
-// leader keeps it alive for the duration of every call (see the struct
-// docs), so sending the pointer to a pool worker is safe.
+// SAFETY: the pointee is `Sync` (the bound is in the erased type), so
+// calling it from another thread is sound, and the leader keeps it alive for
+// every call (publish/wait_done: see the struct docs). Exercised by
+// `publish_wakes_a_parked_worker` below and `tests/omp_pool.rs`; the join
+// protocol is model-checked in pyjama-check's `pool-join` scenario.
 unsafe impl Send for Job {}
 
 impl Job {
@@ -83,10 +88,15 @@ impl Job {
     #[allow(clippy::transmute_ptr_to_ptr, clippy::useless_transmute)]
     pub unsafe fn erase<'a>(member: &'a (dyn Fn(usize) + Sync + 'a)) -> Job {
         Job {
-            member: std::mem::transmute::<
-                *const (dyn Fn(usize) + Sync + 'a),
-                *const (dyn Fn(usize) + Sync + 'static),
-            >(member),
+            // SAFETY: only the trait object's lifetime bound changes; the
+            // caller's contract keeps the referent alive (`pool-join` model
+            // scenario, `tests/omp_pool.rs`).
+            member: unsafe {
+                std::mem::transmute::<
+                    *const (dyn Fn(usize) + Sync + 'a),
+                    *const (dyn Fn(usize) + Sync + 'static),
+                >(member)
+            },
         }
     }
 
@@ -95,7 +105,9 @@ impl Job {
     /// # Safety
     /// Only callable while the leader's frame is alive (see [`Job::erase`]).
     unsafe fn run(self, tid: usize) {
-        (*self.member)(tid)
+        // SAFETY: the caller's contract: the leader's frame is alive until
+        // it collected this job's done signal (`pool-join` model scenario).
+        unsafe { (*self.member)(tid) }
     }
 }
 
@@ -108,24 +120,22 @@ impl Job {
 struct Slot {
     /// True when `job` holds an unconsumed dispatch.
     full: AtomicBool,
-    /// True while the worker is parked on `cond` (publisher skips the lock
-    /// entirely when the worker is still spinning).
-    parked: AtomicBool,
     /// True when the worker finished its dispatched member. Set *after* the
     /// worker's final access to the job — this flag lives in the worker's
     /// own `'static` allocation, so observing it proves the worker holds no
     /// reference into the leaseholder's stack frame.
     done: AtomicBool,
-    /// True while the leaseholder is parked in [`Worker::wait_done`].
-    joiner_parked: AtomicBool,
     job: UnsafeCell<Option<(Job, usize)>>,
-    lock: Mutex<()>,
-    cond: Condvar,
+    /// Both sides park here: the worker on `full`, the leaseholder on
+    /// `done`.
+    wake: EventCount,
 }
 
-// Safety: `job` is only written by the leaseholder while `full` is false
+// SAFETY: `job` is only written by the leaseholder while `full` is false
 // and only read by the worker after observing `full` (SeqCst pairing), so
-// the UnsafeCell is never accessed concurrently.
+// the UnsafeCell is never accessed concurrently. Exercised by
+// `publish_wakes_a_parked_worker`, `tests/omp_pool.rs` and the `pool-join`
+// and `pool-2jobs` model scenarios.
 unsafe impl Sync for Slot {}
 
 /// One pooled worker thread's shared handle.
@@ -141,12 +151,9 @@ impl Worker {
         Worker {
             slot: Slot {
                 full: AtomicBool::new(false),
-                parked: AtomicBool::new(false),
                 done: AtomicBool::new(false),
-                joiner_parked: AtomicBool::new(false),
                 job: UnsafeCell::new(None),
-                lock: Mutex::new(()),
-                cond: Condvar::new(),
+                wake: EventCount::new(),
             },
             fresh: AtomicBool::new(true),
         }
@@ -161,33 +168,22 @@ impl Worker {
             !self.slot.done.load(Ordering::SeqCst),
             "previous dispatch was never joined"
         );
+        // SAFETY: `full` is false, so the worker does not read `job` until
+        // the SeqCst store below publishes it (see `unsafe impl Sync`;
+        // `publish_wakes_a_parked_worker`, `pool-2jobs` model scenario).
         unsafe { *self.slot.job.get() = Some((job, tid)) };
         self.slot.full.store(true, Ordering::SeqCst);
-        if self.slot.parked.load(Ordering::SeqCst) {
-            // Holding the lock across the notify closes the race with a
-            // worker that published `parked` but has not yet slept.
-            let _g = self.slot.lock.lock();
-            self.slot.cond.notify_one();
-        }
+        self.slot.wake.notify();
     }
 
     /// Worker side: spin-then-park until a job is published, then consume it.
     fn next_job(&self) -> (Job, usize) {
-        let limit = crate::spin::budget(IDLE_SPIN);
-        let mut spins = 0u32;
-        while !self.slot.full.load(Ordering::SeqCst) {
-            if spins < limit {
-                std::hint::spin_loop();
-                spins += 1;
-                continue;
-            }
-            let mut g = self.slot.lock.lock();
-            self.slot.parked.store(true, Ordering::SeqCst);
-            if !self.slot.full.load(Ordering::SeqCst) {
-                self.slot.cond.wait(&mut g);
-            }
-            self.slot.parked.store(false, Ordering::SeqCst);
-        }
+        self.slot
+            .wake
+            .wait(IDLE_SPIN, None, || self.slot.full.load(Ordering::SeqCst));
+        // SAFETY: `full` was observed true, so the leaseholder's write is
+        // complete and it does not touch `job` again until `full` is false
+        // (`publish_wakes_a_parked_worker`, `pool-2jobs` model scenario).
         let job = unsafe { (*self.slot.job.get()).take() }.expect("full slot holds a job");
         self.slot.full.store(false, Ordering::SeqCst);
         job
@@ -197,12 +193,7 @@ impl Worker {
     /// after the worker's last touch of the job.
     fn signal_done(&self) {
         self.slot.done.store(true, Ordering::SeqCst);
-        if self.slot.joiner_parked.load(Ordering::SeqCst) {
-            // Lock across the notify: the joiner publishes `joiner_parked`
-            // and re-checks `done` under this lock before sleeping.
-            let _g = self.slot.lock.lock();
-            self.slot.cond.notify_all();
-        }
+        self.slot.wake.notify();
     }
 
     /// Leaseholder side: blocks until this worker's published dispatch has
@@ -214,27 +205,13 @@ impl Worker {
     /// final access ordered after the job ran — has been acquired, so the
     /// job's borrows are dead and the worker is idle, safe to re-lease.
     pub(crate) fn wait_done(&self) {
-        let limit = crate::spin::budget(IDLE_SPIN);
-        let mut spins = 0u32;
-        let mut parked = false;
-        while !self.slot.done.load(Ordering::SeqCst) {
-            if spins < limit {
-                std::hint::spin_loop();
-                spins += 1;
-                continue;
-            }
-            let mut g = self.slot.lock.lock();
-            self.slot.joiner_parked.store(true, Ordering::SeqCst);
-            if !self.slot.done.load(Ordering::SeqCst) {
-                if !parked {
-                    parked = true;
-                    COUNTERS.barrier_parks.inc();
-                }
-                self.slot.cond.wait(&mut g);
-            }
-            self.slot.joiner_parked.store(false, Ordering::SeqCst);
-        }
-        if !parked {
+        let waited = self
+            .slot
+            .wake
+            .wait(IDLE_SPIN, None, || self.slot.done.load(Ordering::SeqCst));
+        if waited == Wait::Parked {
+            COUNTERS.barrier_parks.inc();
+        } else {
             COUNTERS.barrier_spins.inc();
         }
         self.slot.done.store(false, Ordering::SeqCst);
@@ -254,6 +231,8 @@ fn worker_loop(me: Arc<Worker>) {
         // panics itself; a panic escaping here would mean we could never
         // signal done and the leader's join would hang forever, so fail
         // loudly instead (mirrors libgomp's fatal-error policy).
+        // SAFETY: the leader does not return from the job's frame before
+        // `signal_done` below (publish/wait_done protocol, `pool-join`).
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
             job.run(tid)
         }));
@@ -394,6 +373,7 @@ mod tests {
             let member = |tid: usize| {
                 ran.fetch_add(tid as u64 + 10, Ordering::SeqCst);
             };
+            // SAFETY: `member` outlives the job: `wait_done` below joins it.
             let job = unsafe { Job::erase(&member) };
             w.publish(job, 3);
             w.wait_done();

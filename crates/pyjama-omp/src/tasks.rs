@@ -5,35 +5,36 @@
 //! that motivates the paper's virtual targets. This queue lives inside a
 //! [`crate::Team`]; tasks are run by whichever team thread reaches a
 //! scheduling point (`taskwait`, `barrier`, region end) first.
+//!
+//! A member that finds the queue empty while a task is still running
+//! elsewhere waits on the workspace's one [`EventCount`]: a short spin, then
+//! a park until a push gives it work or the last task completes. The queue
+//! length is mirrored in an atomic so that check takes no lock, and every
+//! change it waits for notifies, so the park needs no timed re-poll.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
-use pyjama_sync::{Condvar, Mutex};
+use pyjama_sync::{EventCount, Mutex, Wait};
 
 type Task<'s> = Box<dyn FnOnce() + Send + 's>;
 
-/// Spin rounds (exponentially growing) before a waiting drainer parks.
-const DRAIN_SPIN_ROUNDS: u32 = 7;
-
-/// Safety-net bound on one parked sleep. Wakes normally arrive through
-/// [`TaskQueue::push`] / task completion notifies; the timeout only turns a
-/// hypothetical missed wake into a bounded re-check instead of a hang.
-const DRAIN_PARK_TIMEOUT: Duration = Duration::from_millis(5);
+/// Spin budget of a waiting drainer before it parks. Short: the task it
+/// waits on runs elsewhere and rarely finishes within a spin.
+const DRAIN_SPIN: u32 = 128;
 
 /// A region-scoped task queue.
 pub struct TaskQueue<'s> {
     queue: Mutex<VecDeque<Task<'s>>>,
+    /// `queue.len()`, updated under the queue lock, read without it.
+    queued: AtomicUsize,
     /// Tasks queued or currently running.
     outstanding: AtomicUsize,
     /// First panic payload from any task, re-raised at region end.
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Drainers parked waiting for a mid-flight task elsewhere (see
+    /// Drainers park here waiting for a mid-flight task elsewhere (see
     /// [`TaskQueue::drain`]).
-    waiters: AtomicUsize,
-    idle_lock: Mutex<()>,
-    idle_cond: Condvar,
+    activity: EventCount,
 }
 
 impl<'s> TaskQueue<'s> {
@@ -41,27 +42,37 @@ impl<'s> TaskQueue<'s> {
     pub fn new() -> Self {
         TaskQueue {
             queue: Mutex::new(VecDeque::new()),
+            queued: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
             panic: Mutex::new(None),
-            waiters: AtomicUsize::new(0),
-            idle_lock: Mutex::new(()),
-            idle_cond: Condvar::new(),
+            activity: EventCount::new(),
         }
     }
 
     /// Enqueues a task.
     pub fn push(&self, f: impl FnOnce() + Send + 's) {
         self.outstanding.fetch_add(1, Ordering::SeqCst);
-        self.queue.lock().push_back(Box::new(f));
+        {
+            let mut q = self.queue.lock();
+            q.push_back(Box::new(f));
+            self.queued.fetch_add(1, Ordering::SeqCst);
+        }
         // A parked drainer can help run the new task.
-        self.notify_waiters();
+        self.activity.notify();
     }
 
     /// Pops and runs one task on the calling thread. Returns `false` when
     /// the queue was empty. Task panics are captured (first wins) so the
     /// team can finish its barriers before the panic resurfaces.
     pub fn run_one(&self) -> bool {
-        let task = self.queue.lock().pop_front();
+        let task = {
+            let mut q = self.queue.lock();
+            let task = q.pop_front();
+            if task.is_some() {
+                self.queued.fetch_sub(1, Ordering::SeqCst);
+            }
+            task
+        };
         match task {
             Some(t) => {
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(t));
@@ -73,7 +84,7 @@ impl<'s> TaskQueue<'s> {
                 }
                 if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
                     // Last task done: release drainers waiting for zero.
-                    self.notify_waiters();
+                    self.activity.notify();
                 }
                 true
             }
@@ -86,53 +97,25 @@ impl<'s> TaskQueue<'s> {
     /// rather than "child tasks").
     ///
     /// When the queue is empty but a task is still mid-flight on another
-    /// member, the wait is a bounded spin with exponential backoff followed
-    /// by a park — a long-running task on one member no longer burns a core
-    /// on every other member sitting at the region-end scheduling point.
+    /// member, the member spins briefly and then parks until a push or the
+    /// last completion wakes it — a long-running task on one member does
+    /// not burn a core on every other member sitting at the region end.
     pub fn drain(&self) {
         loop {
             while self.run_one() {}
             if self.outstanding.load(Ordering::SeqCst) == 0 {
                 return;
             }
-            self.wait_for_task_activity();
+            self.wait_for_task_activity(DRAIN_SPIN);
         }
     }
 
-    /// Blocks until the mid-flight picture may have changed: a task
-    /// completed (possibly reaching zero outstanding) or a new task was
-    /// pushed for us to help with.
-    fn wait_for_task_activity(&self) {
-        // Spin phase: 1, 2, 4, … spin-loop iterations between re-checks.
-        // Zero rounds on a single CPU (see `crate::spin::budget`).
-        let rounds = crate::spin::budget(DRAIN_SPIN_ROUNDS);
-        for shift in 0..rounds {
-            for _ in 0..(1u32 << shift) {
-                std::hint::spin_loop();
-            }
-            if self.outstanding.load(Ordering::SeqCst) == 0 || !self.queue.lock().is_empty() {
-                return;
-            }
-        }
-        // Park phase. The waiter count is published before the re-check and
-        // notifiers take `idle_lock` across their notify, so a completion
-        // or push between our re-check and the wait cannot be lost.
-        let mut g = self.idle_lock.lock();
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        if self.outstanding.load(Ordering::SeqCst) != 0 && self.queue.lock().is_empty() {
-            let _ = self
-                .idle_cond
-                .wait_until(&mut g, Instant::now() + DRAIN_PARK_TIMEOUT);
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Wakes parked drainers if there are any (cheap atomic check first).
-    fn notify_waiters(&self) {
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            let _g = self.idle_lock.lock();
-            self.idle_cond.notify_all();
-        }
+    /// Blocks until the mid-flight picture may have changed: every task
+    /// completed or a new task was pushed for us to help with.
+    fn wait_for_task_activity(&self, spin: u32) -> Wait {
+        self.activity.wait(spin, None, || {
+            self.outstanding.load(Ordering::SeqCst) == 0 || self.queued.load(Ordering::SeqCst) > 0
+        })
     }
 
     /// Tasks queued or running.
@@ -209,6 +192,41 @@ mod tests {
         q.drain();
         assert_eq!(n.load(Ordering::SeqCst), 1);
         h.join().unwrap();
+    }
+
+    /// A drainer waiting (spin 0) on a 50 ms task running on another member
+    /// blocks once and is woken by the completion; a 5 ms timed re-poll
+    /// would wake it about ten times in the same window.
+    #[test]
+    fn drainer_blocks_once_on_a_long_task_elsewhere() {
+        let q = Arc::new(TaskQueue::<'static>::new());
+        let started = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let s2 = Arc::clone(&started);
+        q.push(move || {
+            s2.store(true, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        });
+        let q2 = Arc::clone(&q);
+        let member = std::thread::spawn(move || q2.run_one());
+        while !started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // `drain`'s loop, with the wake-ups counted.
+        let mut wakeups = 0;
+        let mut parked = 0;
+        loop {
+            while q.run_one() {}
+            if q.outstanding() == 0 {
+                break;
+            }
+            if q.wait_for_task_activity(0) == Wait::Parked {
+                parked += 1;
+            }
+            wakeups += 1;
+        }
+        assert!(member.join().unwrap());
+        assert_eq!(wakeups, 1, "the drainer re-polled instead of blocking");
+        assert_eq!(parked, 1, "a spin-0 wait on a running task must park");
     }
 
     #[test]

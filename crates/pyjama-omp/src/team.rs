@@ -342,8 +342,11 @@ where
         team.run_member(0, &f);
     } else {
         let member = |tid: usize| team.run_member(tid, &f);
-        // Safety: `member` (and everything it borrows) outlives every run —
-        // see the join-signal argument in the function docs.
+        // SAFETY: `member` (and everything it borrows) outlives every run:
+        // the loop below collects every worker's done signal before this
+        // frame unwinds (the join-signal argument in the function docs,
+        // model-checked by pyjama-check's `pool-join` scenario and exercised
+        // by `tests/omp_pool.rs`).
         let job = unsafe { Job::erase(&member) };
         hot = pool::with_workers(num_threads - 1, |workers, hot| {
             for (i, w) in workers.iter().enumerate() {

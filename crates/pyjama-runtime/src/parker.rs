@@ -29,35 +29,31 @@
 //! remove the wrong entry — the ABA hazard of a slot-based scheme does not
 //! exist here.
 //!
-//! ## One condvar wake per park
+//! ## One permit on the one eventcount
 //!
-//! A burst of posts notifies the same parked worker many times before it
-//! runs and clears its `parked` flag, and the condvar issues a futex wake
-//! on every `notify_all` whether or not anyone still waits. `notify`
-//! therefore wakes only when it is the call that set the permit: a permit
-//! that was already pending proves an earlier `notify` saw the same park
-//! (the owner blocks only with `permit == false`, under the lock) and
-//! issued its wake. Either that wake is delivered, or the owner consumes
-//! the permit before it blocks — `park`/`park_until` check it under the
-//! lock first. A stale `notify_all` landing in a later park is a spurious
-//! condvar return that re-checks the permit and waits again.
+//! The permit is an `AtomicBool`; `park` is an [`EventCount`] wait (spin 0)
+//! that swaps it out. `notify` calls the eventcount only when it is the call
+//! that set the permit: a pending permit proves an earlier `notify` set it
+//! and woke (or will be seen by) the same park, so a burst of posts to one
+//! parked worker costs one wake.
 //!
 //! Timers are the one wake that has no post-side hook (nothing "arrives"
 //! when a deadline passes), so a parked EDT bounds its sleep by the loop's
 //! next timer deadline — an exact event time, not a poll quantum.
 //!
 //! Model-checked twin: `pyjama-check/src/models/parker.rs` ports
-//! [`WakeSignal`] and the `await_until_inner` accounting loop onto
-//! instrumented shims and explores the notify-vs-park and wake-vs-deadline
-//! races (plus mutations that re-lose the permit, suppress the wake by a
-//! flag `park` never clears, and re-introduce the timeout
-//! spurious-undercount). Keep the port in sync with protocol
-//! changes here — DESIGN.md §5h.
+//! [`WakeSignal`] (on `ModelEventCount`, the twin of [`EventCount`]) and
+//! the `await_until_inner` accounting loop onto instrumented shims and
+//! explores the notify-vs-park and wake-vs-deadline races (plus mutations
+//! that re-lose the permit, suppress the wake by a flag `park` never
+//! clears, and re-introduce the timeout spurious-undercount). Keep the port
+//! in sync with protocol changes here — DESIGN.md §5h.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pyjama_sync::{Condvar, Mutex};
+use pyjama_sync::{EventCount, Wait};
 use pyjama_events::{pump, EventLoopHandle, QueueWaker};
 use pyjama_metrics::park::ParkCounters;
 pub use pyjama_metrics::park::ParkStats;
@@ -82,91 +78,63 @@ pub fn reset_park_stats() {
     COUNTERS.reset();
 }
 
-struct SignalState {
-    /// A pending wake not yet consumed by `park`.
-    permit: bool,
-    /// Whether the owner is currently blocked in `park`/`park_until`.
-    parked: bool,
-}
-
 /// A one-thread parker with permit semantics: `notify` from any thread,
 /// `park` from the owning thread. A notify delivered while the owner is not
 /// parked is stored and satisfies the next park immediately.
 pub struct WakeSignal {
-    state: Mutex<SignalState>,
-    cond: Condvar,
+    /// A pending wake not yet consumed by `park`.
+    permit: AtomicBool,
+    wake: EventCount,
 }
 
 impl WakeSignal {
     /// A fresh signal with no pending permit.
     pub fn new() -> Self {
         WakeSignal {
-            state: Mutex::new(SignalState {
-                permit: false,
-                parked: false,
-            }),
-            cond: Condvar::new(),
+            permit: AtomicBool::new(false),
+            wake: EventCount::new(),
         }
     }
 
-    /// Wakes the owning thread: sets the permit and, if the owner is parked
-    /// and no permit was already pending, releases it. Callable from any
-    /// thread, any number of times; permits do not accumulate, and neither
-    /// do condvar wakes — a pending permit means the wake is in flight.
+    /// Wakes the owning thread: sets the permit and, if no permit was
+    /// already pending, releases a parked owner. Callable from any thread,
+    /// any number of times; permits do not accumulate, and neither do
+    /// condvar wakes — a pending permit means the wake is in flight.
     pub fn notify(&self) {
         COUNTERS.notifies.inc();
-        let mut g = self.state.lock();
-        let pending = std::mem::replace(&mut g.permit, true);
-        let wake = g.parked && !pending;
-        drop(g);
-        if wake {
-            self.cond.notify_all();
+        if !self.permit.swap(true, Ordering::SeqCst) {
+            self.wake.notify();
         }
     }
 
     /// Blocks until a permit is available, then consumes it. Returns
     /// immediately (without blocking) if a permit is already pending.
     pub fn park(&self) {
-        let mut g = self.state.lock();
-        if g.permit {
-            g.permit = false;
-            return;
-        }
-        g.parked = true;
-        COUNTERS.parks.inc();
-        while !g.permit {
-            self.cond.wait(&mut g);
-        }
-        g.permit = false;
-        g.parked = false;
-        COUNTERS.wakes.inc();
+        self.park_inner(None);
     }
 
     /// Like [`park`](Self::park) but gives up at `deadline`. Returns `true`
     /// if a permit was consumed, `false` on timeout.
     pub fn park_until(&self, deadline: Instant) -> bool {
-        let mut g = self.state.lock();
-        if g.permit {
-            g.permit = false;
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        g.parked = true;
-        COUNTERS.parks.inc();
-        while !g.permit {
-            if self.cond.wait_until(&mut g, deadline).timed_out() {
-                break;
+        self.park_inner(Some(deadline))
+    }
+
+    fn park_inner(&self, deadline: Option<Instant>) -> bool {
+        let waited = self
+            .wake
+            .wait(0, deadline, || self.permit.swap(false, Ordering::SeqCst));
+        match waited {
+            Wait::Spun => true,
+            Wait::Parked => {
+                COUNTERS.parks.inc();
+                COUNTERS.wakes.inc();
+                true
+            }
+            Wait::TimedOut => {
+                COUNTERS.parks.inc();
+                false
             }
         }
-        g.parked = false;
-        let notified = g.permit;
-        g.permit = false;
-        if notified {
-            COUNTERS.wakes.inc();
-        }
-        notified
     }
 }
 
@@ -355,7 +323,7 @@ mod tests {
         });
         let deadline = Instant::now() + Duration::from_secs(5);
         for round in 1..=2 {
-            while !s.state.lock().parked {
+            while s.wake.sleepers() == 0 {
                 std::thread::yield_now();
             }
             stage.store(round, Ordering::SeqCst);

@@ -6,6 +6,17 @@
 //! `wait_until`/`wait_for` return a `WaitTimeoutResult`. Lock cost is
 //! std's (futex-based on Linux). Every crate imports its locks from here, so
 //! this is the one seam to swap them.
+//!
+//! It also holds the one way to park a thread: [`EventCount`], a
+//! spin-then-park wait on an atomic condition, with its spin budget in
+//! [`spin`].
+
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+mod event_count;
+pub mod spin;
+
+pub use event_count::{EventCount, Wait};
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
