@@ -5,9 +5,10 @@
 //! checker can explore their interleavings.
 //!
 //! Every production park site (omp pool slot, team barrier, task drain,
-//! the runtime's `WakeSignal`) waits on `pyjama_sync::EventCount`, so all
-//! of them rest on one model: [`event_count::ModelEventCount`]. The parker
-//! and pool-slot models are built on it rather than on private
+//! and `pyjama-events/src/parker.rs::WakeSignal`, the one parker per thread
+//! that every runtime wait parks on) waits on `pyjama_sync::EventCount`, so
+//! all of them rest on one model: [`event_count::ModelEventCount`]. The
+//! parker and pool-slot models are built on it rather than on private
 //! lock/condvar handshakes of their own.
 //!
 //! ## Port-sync discipline
@@ -72,19 +73,27 @@ pub enum Mutation {
     /// the lock. The wake can fall between the sleeper's failed re-check
     /// and its condvar wait (deadlock).
     EventCountNotifySkipLock,
-    /// `parker.rs::notify`: skip setting the permit when the owner is not
-    /// registered as an eventcount sleeper. The notify-between-check-and-
-    /// park window becomes a lost wakeup (deadlock).
+    /// `pyjama-events/src/parker.rs::notify`: skip setting the permit when
+    /// the owner is not registered as an eventcount sleeper. The
+    /// notify-between-check-and-park window becomes a lost wakeup
+    /// (deadlock).
     ParkerNotifySkipPermit,
-    /// `parker.rs::notify`: suppress the condvar wake by a "someone already
-    /// woke it" flag that `park` never clears, instead of by the pending
-    /// permit. The second park cycle never gets its wake (deadlock).
+    /// `pyjama-events/src/parker.rs::notify`: suppress the condvar wake by
+    /// a "someone already woke it" flag that `park` never clears, instead
+    /// of by the pending permit. The second park cycle never gets its wake
+    /// (deadlock).
     ParkerStickyWokenFlag,
-    /// `parker.rs::await_until_inner` as it was before PR 6: a timed park
-    /// that returns by timeout clears `woke_with_no_work`, so
-    /// timeout-then-idle cycles never count as spurious. Caught by the
-    /// spurious-accounting assertion scenario.
+    /// `pyjama-runtime/src/parker.rs::await_until_inner` as it was before
+    /// PR 6: a timed park that returns by timeout clears
+    /// `woke_with_no_work`, so timeout-then-idle cycles never count as
+    /// spurious. Caught by the spurious-accounting assertion scenario.
     ParkerTimeoutNotSpurious,
+    /// `pyjama-runtime/src/parker.rs::await_until_inner`: after a help pass,
+    /// park without re-checking the handle. The helped handler's nested
+    /// wait shares the thread's one permit and may have consumed the wake
+    /// meant for this wait, so the park sleeps through a completion that
+    /// already happened (deadlock).
+    ParkerNestedSkipRecheck,
     /// `pool.rs::run_worker`: store `done` *before* the last touch of the
     /// job's shared state. The joiner can observe done and retire the frame
     /// while the worker still writes into it.

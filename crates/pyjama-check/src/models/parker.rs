@@ -1,17 +1,19 @@
-//! Model port of `pyjama-runtime/src/parker.rs` — the permit-based
-//! [`WakeSignal`] on the one eventcount and the `await_until_inner`
-//! barrier loop's spurious-wake accounting.
+//! Model port of the one parker per thread: the permit-based
+//! [`WakeSignal`] on the one eventcount (`pyjama-events/src/parker.rs`)
+//! and the `await_until_inner` barrier loop (`pyjama-runtime/src/parker.rs`)
+//! with its spurious-wake accounting.
 //!
 //! Port map:
-//! - [`ModelWakeSignal::notify`]     ⇔ `parker.rs::WakeSignal::notify`
-//! - [`ModelWakeSignal::park`]       ⇔ `parker.rs::WakeSignal::park`
-//! - [`ModelWakeSignal::park_timed`] ⇔ `parker.rs::WakeSignal::park_until`
+//! - [`ModelWakeSignal::notify`]     ⇔ `pyjama-events/src/parker.rs::WakeSignal::notify`
+//! - [`ModelWakeSignal::park`]       ⇔ `pyjama-events/src/parker.rs::WakeSignal::park`
+//! - [`ModelWakeSignal::park_timed`] ⇔ `pyjama-events/src/parker.rs::WakeSignal::park_until`
 //!   (the deadline is abstracted: the scheduler may fire the timeout at
 //!   any moment, so every wake-vs-deadline race is explored)
 //! - the park itself is [`ModelEventCount::wait`] with spin 0
 //!   ⇔ `EventCount::wait(0, ..)`
-//! - [`model_await`]                 ⇔ `parker.rs::await_until_inner`
-//!   (help sources collapsed to one work counter; the caller deadline is
+//! - [`model_await`]                 ⇔ `pyjama-runtime/src/parker.rs::await_until_inner`
+//!   (help sources collapsed to one `take_work` closure, which may itself
+//!   wait on the same signal as a nested wait does; the caller deadline is
 //!   modelled as "a timed park timed out")
 //!
 //! [`WakeSignal`]: ModelWakeSignal
@@ -20,7 +22,8 @@ use crate::models::event_count::{ModelEventCount, ModelWait};
 use crate::models::Mutation;
 use crate::shim::atomic::{AtomicBool, Ordering};
 
-/// ⇔ `parker.rs::WakeSignal`: an `AtomicBool` permit on an eventcount.
+/// ⇔ `pyjama-events/src/parker.rs::WakeSignal`: an `AtomicBool` permit on
+/// an eventcount.
 pub struct ModelWakeSignal {
     permit: AtomicBool,
     /// Only read under [`Mutation::ParkerStickyWokenFlag`]: "a notify
@@ -90,7 +93,8 @@ pub struct AwaitOutcome {
     pub actual_idle_wakes: u64,
 }
 
-/// ⇔ `parker.rs::await_until_inner`, reduced to its accounting skeleton:
+/// ⇔ `pyjama-runtime/src/parker.rs::await_until_inner`, reduced to its
+/// accounting skeleton:
 /// `finished`/`take_work` stand in for the task handle and the help
 /// sources (both are scenario-provided closures running on shim state),
 /// and the caller deadline fires when a timed park times out.
@@ -98,7 +102,9 @@ pub struct AwaitOutcome {
 /// Under [`Mutation::ParkerTimeoutNotSpurious`] this reproduces the
 /// pre-PR-6 logic (`woke_with_no_work = notified`), which under-counts:
 /// a timeout wake followed by an idle iteration is a real no-work wakeup
-/// the old code never recorded.
+/// the old code never recorded. Under [`Mutation::ParkerNestedSkipRecheck`]
+/// a successful help pass goes straight to the park, skipping the
+/// `finished()` re-check at the top of the loop.
 pub fn model_await(
     signal: &ModelWakeSignal,
     finished: impl Fn() -> bool,
@@ -129,6 +135,12 @@ pub fn model_await(
         if take_work() {
             woke_with_no_work = false;
             woke_at_all = false;
+            if mutation == Mutation::ParkerNestedSkipRecheck {
+                // BUG: the helped work may have waited on this same signal
+                // and consumed the wake meant for us; parking now, before
+                // re-checking `finished`, sleeps through it.
+                signal.park();
+            }
             continue;
         }
         if woke_with_no_work {

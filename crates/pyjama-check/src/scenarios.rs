@@ -512,6 +512,68 @@ fn parker_two_cycle_scenario(mutation: Mutation) -> impl Fn() + Send + Sync {
     }
 }
 
+/// Scenario: two nested waits on one thread share one parker, as an
+/// await's helped handler waiting on another handle does. The outer wait
+/// (`model_await`) helps once; the helped work is an inner wait
+/// (⇔ `task.rs::TaskHandle::wait_deadline`: `while !finished { park }`).
+/// Each condition has its own completer, and each notifies once. When the
+/// outer completer fires during the inner wait, the inner wait consumes
+/// the permit set for the outer one; the outer wait must re-check before
+/// it parks.
+fn parker_nested_scenario(mutation: Mutation) -> impl Fn() + Send + Sync {
+    move || {
+        let sig = Arc::new(ModelWakeSignal::new(Mutation::None));
+        let outer = Arc::new(shim::AtomicBool::named("outer.finished", false));
+        let inner = Arc::new(shim::AtomicBool::named("inner.finished", false));
+        let completers: Vec<_> = [("outer-completer", &outer), ("inner-completer", &inner)]
+            .into_iter()
+            .map(|(name, flag)| {
+                let (sig, flag) = (Arc::clone(&sig), Arc::clone(flag));
+                shim::thread::spawn(name, move || {
+                    flag.store(true, SeqCst);
+                    sig.notify();
+                })
+            })
+            .collect();
+        let helped = std::cell::Cell::new(false);
+        let out = model_await(
+            &sig,
+            || outer.load(SeqCst),
+            || {
+                if helped.replace(true) {
+                    return false;
+                }
+                while !inner.load(SeqCst) {
+                    sig.park();
+                }
+                true
+            },
+            false,
+            mutation,
+        );
+        assert!(out.finished);
+        for t in completers {
+            t.join();
+        }
+    }
+}
+
+#[test]
+fn parker_nested_waits_share_one_permit_ok() {
+    wide().check("parker-nested", parker_nested_scenario(Mutation::None));
+}
+
+#[test]
+fn mutation_parker_nested_skip_recheck_caught() {
+    let fail = wide().find_failure(
+        "parker-nested-skip-recheck",
+        parker_nested_scenario(Mutation::ParkerNestedSkipRecheck),
+    );
+    let fail = assert_caught("parker-nested-skip-recheck", fail);
+    assert!(fail.message.contains("deadlock"), "expected lost wakeup, got: {}", fail.message);
+    assert_replays(&fail, parker_nested_scenario(Mutation::ParkerNestedSkipRecheck));
+}
+
 #[test]
 fn parker_two_park_cycles_ok() {
     wide().check("parker-two-cycles", parker_two_cycle_scenario(Mutation::None));

@@ -1,12 +1,17 @@
 //! A dedicated event-dispatch thread, in the style of the AWT/Swing EDT.
+//!
+//! The loop is built and configured before its thread starts, so spawning
+//! needs no handshake. [`Edt::invoke_and_wait`] parks the caller on its own
+//! parker ([`crate::parker`]) until the handler has filled the result slot.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use pyjama_sync::{Condvar, Mutex};
+use pyjama_sync::Mutex;
 
 use crate::eventloop::{EventLoop, EventLoopHandle, LoopStats};
+use crate::parker;
 
 /// An owned dispatch thread running an [`EventLoop`].
 ///
@@ -23,41 +28,23 @@ pub struct Edt {
 }
 
 impl Edt {
-    /// Spawns a new dispatch thread named `name` and waits until its loop is
-    /// accepting events.
+    /// Spawns a new dispatch thread named `name`. Its loop accepts events
+    /// from the moment this returns.
     pub fn spawn(name: impl Into<String>) -> Self {
         Self::spawn_with(name, |_| {})
     }
 
     /// Like [`spawn`](Self::spawn), but lets the caller configure the loop
     /// (attach occupancy/latency instrumentation) before it starts.
-    pub fn spawn_with(name: impl Into<String>, configure: impl FnOnce(&EventLoop) + Send + 'static) -> Self {
+    pub fn spawn_with(name: impl Into<String>, configure: impl FnOnce(&EventLoop)) -> Self {
         let name = name.into();
-        let slot: Arc<(Mutex<Option<EventLoopHandle>>, Condvar)> =
-            Arc::new((Mutex::new(None), Condvar::new()));
-        let slot2 = Arc::clone(&slot);
-        let tname = name.clone();
+        let el = EventLoop::new(name.clone());
+        configure(&el);
+        let handle = el.handle();
         let thread = std::thread::Builder::new()
-            .name(tname.clone())
-            .spawn(move || {
-                let el = EventLoop::new(tname);
-                configure(&el);
-                {
-                    let (lock, cond) = &*slot2;
-                    *lock.lock() = Some(el.handle());
-                    cond.notify_all();
-                }
-                el.run();
-            })
+            .name(name)
+            .spawn(move || el.run())
             .expect("failed to spawn EDT thread");
-        let handle = {
-            let (lock, cond) = &*slot;
-            let mut g = lock.lock();
-            while g.is_none() {
-                cond.wait(&mut g);
-            }
-            g.take().expect("loop handle published")
-        };
         Edt {
             handle,
             thread: Some(thread),
@@ -78,25 +65,22 @@ impl Edt {
         if self.handle.is_loop_thread() {
             return f();
         }
-        let slot: Arc<(Mutex<Option<std::thread::Result<R>>>, Condvar)> =
-            Arc::new((Mutex::new(None), Condvar::new()));
-        let slot2 = Arc::clone(&slot);
+        let me = parker::current();
+        let slot: Arc<Mutex<Option<std::thread::Result<R>>>> = Arc::new(Mutex::new(None));
+        let (slot2, waiter) = (Arc::clone(&slot), Arc::clone(&me));
         let posted = self.handle.post(move || {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-            let (lock, cond) = &*slot2;
-            *lock.lock() = Some(r);
-            cond.notify_all();
+            *slot2.lock() = Some(r);
+            waiter.notify();
         });
         assert!(posted.is_some(), "invoke_and_wait on a stopped EDT");
-        let (lock, cond) = &*slot;
-        let mut g = lock.lock();
-        while g.is_none() {
-            cond.wait(&mut g);
-        }
-        match g.take().expect("result published") {
-            Ok(v) => v,
-            Err(p) => std::panic::resume_unwind(p),
-        }
+        let result = loop {
+            if let Some(r) = slot.lock().take() {
+                break r;
+            }
+            me.park();
+        };
+        result.unwrap_or_else(|p| std::panic::resume_unwind(p))
     }
 
     /// Schedules a handler to run on the EDT after `delay`.

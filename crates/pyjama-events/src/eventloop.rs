@@ -1,4 +1,8 @@
 //! The dispatch loop, with re-entrant pumping.
+//!
+//! The thread running a loop installs its own parker as the queue's owner,
+//! so a post, a `quit` or a newly scheduled timer wakes it wherever it
+//! parks: idle in [`EventLoop::run`], or inside a handler's await barrier.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -9,7 +13,8 @@ use pyjama_metrics::{LatencyRecorder, OccupancyTracker};
 use pyjama_trace::{arg as trace_arg, Stage};
 
 use crate::event::{Event, EventId, Priority};
-use crate::queue::{EventQueue, QueueWaker};
+use crate::parker::{self, WakeSignal};
+use crate::queue::EventQueue;
 use crate::timer::TimerQueue;
 
 thread_local! {
@@ -162,20 +167,12 @@ impl EventLoop {
     ///
     /// While inside a handler, the loop is discoverable via
     /// [`crate::pump::try_pump_current`], which is how the runtime's `await`
-    /// mode processes "other event handlers in the system" (§IV-B).
+    /// mode processes "other event handlers in the system" (§IV-B). With
+    /// nothing due, the thread parks on its parker until a post, a quit or
+    /// the next timer deadline.
     pub fn run(self) {
-        let shared = Arc::clone(&self.shared);
-        CURRENT.with(|c| c.borrow_mut().push(Arc::clone(&shared)));
-        struct TlsGuard;
-        impl Drop for TlsGuard {
-            fn drop(&mut self) {
-                CURRENT.with(|c| {
-                    c.borrow_mut().pop();
-                });
-            }
-        }
-        let _g = TlsGuard;
-
+        let running = Running::enter(&self.shared);
+        let shared = &self.shared;
         while !shared.quit.load(Ordering::SeqCst) {
             // Dispatch everything already due.
             let due = shared.timers.drain_due(Instant::now());
@@ -187,44 +184,60 @@ impl EventLoop {
             if had_due {
                 continue; // re-check quit between batches
             }
-            // Block for the next event, but wake for the next timer deadline.
-            let popped = match shared.timers.next_deadline() {
-                Some(deadline) => shared.queue.pop_until(deadline),
-                None => shared.queue.pop(),
-            };
-            match popped {
-                Some(e) => shared.dispatch(e, false),
-                None => {
-                    // Either a timer became due (loop around) or the queue
-                    // closed for shutdown.
-                    if shared.queue.is_closed() && shared.queue.is_empty() {
-                        break;
-                    }
-                }
+            if let Some(e) = shared.queue.try_pop() {
+                shared.dispatch(e, false);
+                continue;
             }
+            if shared.queue.is_closed() && shared.queue.is_empty() {
+                break;
+            }
+            // A post or close after the pop above notifies the parker, and
+            // a timer scheduled after this read does too (`post_delayed`).
+            running.parker.park_deadline(shared.timers.next_deadline());
         }
     }
 
     /// Processes queued events and *currently due* timers until none remain,
     /// then returns. Useful in tests: no second thread needed.
     pub fn run_until_idle(&self) {
-        let shared = Arc::clone(&self.shared);
-        CURRENT.with(|c| c.borrow_mut().push(Arc::clone(&shared)));
-        struct TlsGuard;
-        impl Drop for TlsGuard {
-            fn drop(&mut self) {
-                CURRENT.with(|c| {
-                    c.borrow_mut().pop();
-                });
-            }
-        }
-        let _g = TlsGuard;
-        while shared.pump_once(false) {}
+        let _running = Running::enter(&self.shared);
+        while self.shared.pump_once(false) {}
     }
 
     /// The loop's diagnostic name.
     pub fn name(&self) -> &str {
         &self.shared.name
+    }
+}
+
+/// The current thread running a loop: it is discoverable through
+/// [`current_shared`] and its parker is the queue's owner. Dropping it
+/// restores both, so a nested run on the same thread unwinds cleanly.
+struct Running {
+    shared: Arc<Shared>,
+    parker: Arc<WakeSignal>,
+    prev_owner: Option<Arc<WakeSignal>>,
+}
+
+impl Running {
+    fn enter(shared: &Arc<Shared>) -> Running {
+        CURRENT.with(|c| c.borrow_mut().push(Arc::clone(shared)));
+        let parker = parker::current();
+        let prev_owner = shared.queue.set_owner(Some(Arc::clone(&parker)));
+        Running {
+            shared: Arc::clone(shared),
+            parker,
+            prev_owner,
+        }
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        self.shared.queue.set_owner(self.prev_owner.take());
+        CURRENT.with(|c| {
+            c.borrow_mut().pop();
+        });
     }
 }
 
@@ -270,10 +283,8 @@ impl EventLoopHandle {
     /// Schedules a handler to run after `delay`.
     pub fn post_delayed(&self, delay: Duration, f: impl FnOnce() + Send + 'static) {
         self.shared.timers.schedule(delay, Event::new(f));
-        // Wake the loop so it can observe the (possibly earlier) deadline.
-        self.shared
-            .queue
-            .push(Event::new(|| {}).with_priority(Priority::High).with_label("timer-wake"));
+        // Wake the loop thread so it re-reads its (possibly earlier) deadline.
+        self.shared.queue.wake_owner();
     }
 
     /// Requests the loop to stop after the current event; pending events are
@@ -292,22 +303,9 @@ impl EventLoopHandle {
         })
     }
 
-    /// Registers a waker notified whenever an event is posted to this loop
-    /// (or the loop shuts down). Used by the runtime's await barrier so a
-    /// parked EDT wakes the instant new work arrives. Returns a token for
-    /// [`remove_waker`](Self::remove_waker).
-    pub fn add_waker(&self, waker: Arc<dyn QueueWaker>) -> u64 {
-        self.shared.queue.add_waker(waker)
-    }
-
-    /// Removes a waker registered with [`add_waker`](Self::add_waker).
-    pub fn remove_waker(&self, id: u64) {
-        self.shared.queue.remove_waker(id)
-    }
-
     /// The deadline of the earliest pending delayed event, if any. A parked
-    /// helper bounds its sleep by this: a timer firing is the one wake no
-    /// post-side hook can deliver.
+    /// loop thread bounds its sleep by this: a timer falling due is the one
+    /// wake nothing notifies.
     pub fn next_timer_deadline(&self) -> Option<Instant> {
         self.shared.timers.next_deadline()
     }
@@ -396,6 +394,51 @@ mod tests {
         t.join().unwrap();
         let at = fired.lock().expect("delayed event fired");
         assert!(at.duration_since(t0) >= Duration::from_millis(30));
+    }
+
+    /// A delayed post on a running, parked loop: the schedule wakes the
+    /// loop thread itself, so no extra event is dispatched to do it.
+    #[test]
+    fn delayed_post_wakes_parked_loop_and_dispatches_only_its_handler() {
+        let el = EventLoop::new("edt");
+        let h = el.handle();
+        let t = std::thread::spawn(move || el.run());
+        std::thread::sleep(Duration::from_millis(10)); // let the loop park
+        let fired = Arc::new(Mutex::new(None::<Instant>));
+        let f = Arc::clone(&fired);
+        let delay = Duration::from_millis(30);
+        let t0 = Instant::now();
+        h.post_delayed(delay, move || *f.lock() = Some(Instant::now()));
+        while fired.lock().is_none() {
+            assert!(t0.elapsed() < Duration::from_secs(5), "delayed post never fired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let at = fired.lock().expect("fired");
+        assert!(at.duration_since(t0) >= delay, "fired before its deadline");
+        assert_eq!(h.stats().dispatched, 1, "only the real handler is dispatched");
+        h.quit();
+        t.join().unwrap();
+    }
+
+    /// The loop thread parks on its own parker when idle; a post and a quit
+    /// from another thread must each wake it.
+    #[test]
+    fn post_and_quit_wake_a_parked_loop_thread() {
+        let el = EventLoop::new("edt");
+        let h = el.handle();
+        let t = std::thread::spawn(move || el.run());
+        for _ in 0..3 {
+            std::thread::sleep(Duration::from_millis(10)); // parked by now
+            let (tx, rx) = std::sync::mpsc::channel();
+            h.post(move || tx.send(()).unwrap());
+            rx.recv_timeout(Duration::from_secs(5))
+                .expect("a post must wake the parked loop thread");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        let t0 = Instant::now();
+        h.quit();
+        t.join().unwrap();
+        assert!(t0.elapsed() < Duration::from_secs(5));
     }
 
     #[test]

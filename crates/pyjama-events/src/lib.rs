@@ -7,7 +7,8 @@
 //! * [`Event`] — a unit of dispatch: a handler (stored inline via
 //!   [`InlineFn`] when its captures are small) plus priority and
 //!   correlation metadata.
-//! * [`EventQueue`] — the blocking, priority-ordered queue behind a loop.
+//! * [`EventQueue`] — the priority-ordered queue behind a loop; it wakes
+//!   the thread running the loop on every post.
 //! * [`EventLoop`] — the dispatch loop itself, with the one non-standard
 //!   capability the paper's `await` mode requires: **re-entrant pumping**.
 //!   Pyjama "achieves this by slightly modifying the event queue dispatching
@@ -18,6 +19,9 @@
 //!   `invoke_later` / `invoke_and_wait` in the style of
 //!   `SwingUtilities`.
 //! * [`timer`] — delayed event scheduling.
+//! * [`parker`] — one parker per thread: every wait in the runtime parks on
+//!   the waiting thread's own [`WakeSignal`], and every wake source
+//!   notifies it.
 //!
 //! The crate deliberately knows nothing about virtual targets; the runtime
 //! crate layers the paper's offloading semantics on top of these hooks.
@@ -27,6 +31,7 @@ pub mod edt;
 pub mod event;
 pub mod eventloop;
 pub mod inline;
+pub mod parker;
 pub mod pump;
 pub mod queue;
 pub mod recurring;
@@ -37,6 +42,7 @@ pub use edt::Edt;
 pub use event::{Event, EventId, Priority};
 pub use inline::InlineFn;
 pub use eventloop::{EventLoop, EventLoopHandle, LoopStats};
-pub use queue::{EventQueue, QueueWaker};
+pub use parker::WakeSignal;
+pub use queue::EventQueue;
 pub use recurring::IntervalHandle;
 pub use timer::TimerQueue;

@@ -15,12 +15,13 @@
 //! event on the same loop, re-entrantly.
 //!
 //! When the loop has *nothing* pending, the barrier does not poll this
-//! function: it registers a waker on the current loop (via
-//! [`current_handle`] + [`crate::EventLoopHandle::add_waker`]) and parks
-//! until a post signals it, at which point one `try_pump_current` call
-//! dispatches the newly arrived event.
+//! function: it parks on the thread's own parker, which the loop's queue
+//! notifies on every post (the thread running a loop is the queue's owner,
+//! see [`crate::parker`]). One `try_pump_current` call then dispatches the
+//! newly arrived event. The barrier bounds that park by the loop's next
+//! timer deadline, read through [`current_handle`].
 
-use crate::eventloop::{current_shared, EventLoopHandle};
+use crate::eventloop::{current_shared, handle_from_shared, EventLoopHandle};
 
 /// If the current thread is running an [`crate::EventLoop`], dispatch one
 /// pending event (or due timer) re-entrantly and return `true`. Returns
@@ -40,15 +41,7 @@ pub fn is_event_loop_thread() -> bool {
 
 /// Handle to the loop the current thread is running, if any.
 pub fn current_handle() -> Option<EventLoopHandle> {
-    current_shared().map(EventLoopHandle::from_shared)
-}
-
-impl EventLoopHandle {
-    pub(crate) fn from_shared(shared: std::sync::Arc<crate::eventloop::Shared>) -> Self {
-        // EventLoopHandle's field is private to eventloop.rs; construct via
-        // a helper there.
-        crate::eventloop::handle_from_shared(shared)
-    }
+    current_shared().map(handle_from_shared)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! The blocking, priority-ordered event queue.
+//! The priority-ordered event queue behind a loop.
 //!
 //! Almost all traffic in practice is [`Priority::Normal`] (the default), for
 //! which priority order degenerates to FIFO. The queue therefore runs a
@@ -7,29 +7,19 @@
 //! first non-Normal push migrates the pending fast-lane events into the heap
 //! (keeping their sequence numbers, so ordering is unchanged), and once the
 //! heap drains the queue reverts to the fast lane.
+//!
+//! The queue never blocks. It keeps the parker of the thread running its
+//! loop (its *owner*) and notifies it after every push and on close; the
+//! loop thread pops with [`EventQueue::try_pop`] and parks on its own
+//! parker when the queue is empty (see [`crate::parker`]).
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use pyjama_sync::{Condvar, Mutex};
+use pyjama_sync::Mutex;
 
 use crate::event::{Event, Priority};
-
-/// An observer notified whenever work arrives on (or the lifecycle of) an
-/// [`EventQueue`] changes.
-///
-/// This is the hook behind the runtime's wake-driven `await` barrier: a
-/// thread logically blocked in an await registers its parker here so an
-/// event posted to its loop wakes it immediately, instead of being
-/// discovered a poll quantum later. `wake` is called *after* the event is
-/// visible to `try_pop`, and also on [`EventQueue::close`] so registered
-/// observers re-check rather than sleep through shutdown. Implementations
-/// must be cheap and must not call back into the queue.
-pub trait QueueWaker: Send + Sync {
-    /// A new event was enqueued, or the queue closed.
-    fn wake(&self);
-}
+use crate::parker::WakeSignal;
 
 /// Queue entry ordering: priority first, then FIFO by sequence number.
 struct Entry {
@@ -70,21 +60,12 @@ struct Inner {
     mixed: bool,
     next_seq: u64,
     closed: bool,
-    wakers: Vec<(u64, Arc<dyn QueueWaker>)>,
-    next_waker_id: u64,
+    /// Parker of the thread running the loop, notified (after the lock is
+    /// released) on every push and on close.
+    owner: Option<Arc<WakeSignal>>,
 }
 
 impl Inner {
-    /// Clones the registered wakers so they can be notified after the lock
-    /// is released (a waker must never run under the queue lock).
-    fn wakers_snapshot(&self) -> Vec<Arc<dyn QueueWaker>> {
-        if self.wakers.is_empty() {
-            Vec::new()
-        } else {
-            self.wakers.iter().map(|(_, w)| Arc::clone(w)).collect()
-        }
-    }
-
     /// Removes the next event in dispatch order from whichever lane is
     /// active, reverting to the fast lane once the heap drains.
     fn take_next(&mut self) -> Option<Event> {
@@ -104,13 +85,12 @@ impl Inner {
     }
 }
 
-/// A thread-safe event queue with priorities, blocking pop, and close.
+/// A thread-safe event queue with priorities and close.
 ///
-/// Closing the queue wakes all blocked consumers; remaining events can still
-/// be drained, after which `pop` returns `None`.
+/// Closing the queue rejects later pushes and wakes the owner; remaining
+/// events can still be drained.
 pub struct EventQueue {
     inner: Mutex<Inner>,
-    cond: Condvar,
 }
 
 impl EventQueue {
@@ -123,10 +103,8 @@ impl EventQueue {
                 mixed: false,
                 next_seq: 0,
                 closed: false,
-                wakers: Vec::new(),
-                next_waker_id: 0,
+                owner: None,
             }),
-            cond: Condvar::new(),
         }
     }
 
@@ -164,11 +142,10 @@ impl EventQueue {
                 event,
             });
         }
-        let wakers = g.wakers_snapshot();
+        let owner = g.owner.clone();
         drop(g);
-        self.cond.notify_one();
-        for w in wakers {
-            w.wake();
+        if let Some(o) = owner {
+            o.notify();
         }
         true
     }
@@ -202,40 +179,6 @@ impl EventQueue {
         taken
     }
 
-    /// Blocks until an event is available or the queue is closed *and*
-    /// drained, returning `None` in the latter case.
-    pub fn pop(&self) -> Option<Event> {
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(e) = g.take_next() {
-                return Some(e);
-            }
-            if g.closed {
-                return None;
-            }
-            self.cond.wait(&mut g);
-        }
-    }
-
-    /// Like [`pop`](Self::pop) but gives up at `deadline`.
-    pub fn pop_until(&self, deadline: Instant) -> Option<Event> {
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(e) = g.take_next() {
-                return Some(e);
-            }
-            if g.closed || Instant::now() >= deadline {
-                return None;
-            }
-            self.cond.wait_until(&mut g, deadline);
-        }
-    }
-
-    /// Like [`pop`](Self::pop) but waits at most `timeout`.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<Event> {
-        self.pop_until(Instant::now() + timeout)
-    }
-
     /// Number of queued events.
     pub fn len(&self) -> usize {
         self.inner.lock().queued()
@@ -253,37 +196,26 @@ impl EventQueue {
         self.len() == 0
     }
 
-    /// Closes the queue: future pushes are rejected and blocked consumers
-    /// wake up once the queue drains.
+    /// Closes the queue: future pushes are rejected and the owner wakes to
+    /// observe it.
     pub fn close(&self) {
-        let wakers = {
-            let mut g = self.inner.lock();
-            g.closed = true;
-            g.wakers_snapshot()
-        };
-        self.cond.notify_all();
-        for w in wakers {
-            w.wake();
+        self.inner.lock().closed = true;
+        self.wake_owner();
+    }
+
+    /// Wakes the owner without an event: it re-reads its timers and its
+    /// quit flag.
+    pub(crate) fn wake_owner(&self) {
+        let owner = self.inner.lock().owner.clone();
+        if let Some(o) = owner {
+            o.notify();
         }
     }
 
-    /// Registers a waker to be notified on every subsequent push (and on
-    /// close). Returns a token for [`remove_waker`](Self::remove_waker).
-    ///
-    /// Registration works on a closed queue too (the caller re-checks its
-    /// own condition after registering, so no notification is lost either
-    /// way). Tokens are never reused, so a stale deregistration is harmless.
-    pub fn add_waker(&self, waker: Arc<dyn QueueWaker>) -> u64 {
-        let mut g = self.inner.lock();
-        let id = g.next_waker_id;
-        g.next_waker_id += 1;
-        g.wakers.push((id, waker));
-        id
-    }
-
-    /// Removes a previously registered waker. Unknown tokens are ignored.
-    pub fn remove_waker(&self, id: u64) {
-        self.inner.lock().wakers.retain(|(i, _)| *i != id);
+    /// Makes `owner` the parker notified on push and close; returns the
+    /// previous one. The thread running the loop installs its own.
+    pub(crate) fn set_owner(&self, owner: Option<Arc<WakeSignal>>) -> Option<Arc<WakeSignal>> {
+        std::mem::replace(&mut self.inner.lock().owner, owner)
     }
 
     /// True once [`close`](Self::close) has been called.
@@ -302,7 +234,7 @@ impl Default for EventQueue {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn noop() -> Event {
         Event::new(|| {})
@@ -338,51 +270,63 @@ mod tests {
         assert_eq!(*order.lock(), vec!["high", "normal", "low"]);
     }
 
-    #[test]
-    fn pop_blocks_until_push() {
-        let q = Arc::new(EventQueue::new());
-        let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop().is_some());
-        std::thread::sleep(Duration::from_millis(10));
-        q.push(noop());
-        assert!(h.join().unwrap());
+    /// A short park that reports whether a permit was pending or arrived.
+    fn woken(owner: &WakeSignal) -> bool {
+        owner.park_until(Instant::now() + Duration::from_millis(10))
     }
 
     #[test]
-    fn pop_timeout_expires() {
+    fn push_and_close_notify_the_owner_only() {
         let q = EventQueue::new();
-        let t0 = Instant::now();
-        assert!(q.pop_timeout(Duration::from_millis(20)).is_none());
-        assert!(t0.elapsed() >= Duration::from_millis(20));
+        let owner = Arc::new(WakeSignal::new());
+        q.push(noop());
+        assert!(q.set_owner(Some(Arc::clone(&owner))).is_none());
+        assert!(!woken(&owner), "a push before the owner was set notifies nobody");
+        q.push(noop());
+        assert!(woken(&owner), "push must notify the owner");
+        assert!(!woken(&owner), "one push, one permit");
+        q.close();
+        assert!(woken(&owner), "close must notify the owner");
+        let prev = q.set_owner(None).expect("owner installed");
+        assert!(Arc::ptr_eq(&prev, &owner));
+        q.wake_owner();
+        assert!(!woken(&owner), "a removed owner is not notified");
     }
 
     #[test]
-    fn close_rejects_push_and_wakes_poppers() {
-        let q = Arc::new(EventQueue::new());
-        let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop());
-        std::thread::sleep(Duration::from_millis(10));
+    fn close_rejects_push_and_allows_draining_remaining() {
+        let q = EventQueue::new();
+        q.push(noop());
+        q.push(noop());
         q.close();
-        assert!(h.join().unwrap().is_none());
+        assert!(q.is_closed());
         assert!(!q.push(noop()));
+        assert!(q.try_pop().is_some());
+        assert!(q.try_pop().is_some());
+        assert!(q.try_pop().is_none());
     }
 
+    /// Four producers, one owner that parks whenever the queue is empty:
+    /// every push after the owner's failed pop must wake it.
     #[test]
-    fn close_allows_draining_remaining() {
-        let q = EventQueue::new();
-        q.push(noop());
-        q.push(noop());
-        q.close();
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn concurrent_producers_consumers_conserve_events() {
+    fn parked_owner_dispatches_every_concurrent_push() {
         let q = Arc::new(EventQueue::new());
         let dispatched = Arc::new(AtomicUsize::new(0));
         const N: usize = 2_000;
+        let consumer = {
+            let q = Arc::clone(&q);
+            let d = Arc::clone(&dispatched);
+            std::thread::spawn(move || {
+                let me = crate::parker::current();
+                q.set_owner(Some(Arc::clone(&me)));
+                while d.load(Ordering::Relaxed) < N {
+                    match q.try_pop() {
+                        Some(e) => e.dispatch(),
+                        None => me.park(),
+                    }
+                }
+            })
+        };
         let producers: Vec<_> = (0..4)
             .map(|_| {
                 let q = Arc::clone(&q);
@@ -397,66 +341,11 @@ mod tests {
                 })
             })
             .collect();
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    while let Some(e) = q.pop() {
-                        e.dispatch();
-                    }
-                })
-            })
-            .collect();
         for p in producers {
             p.join().unwrap();
         }
-        // Wait for drain, then close to release consumers.
-        while !q.is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        q.close();
-        for c in consumers {
-            c.join().unwrap();
-        }
+        consumer.join().unwrap();
         assert_eq!(dispatched.load(Ordering::Relaxed), N);
-    }
-
-    struct CountingWaker(AtomicUsize);
-    impl QueueWaker for CountingWaker {
-        fn wake(&self) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    #[test]
-    fn waker_fires_on_push_and_close_not_after_removal() {
-        let q = EventQueue::new();
-        let w = Arc::new(CountingWaker(AtomicUsize::new(0)));
-        let id = q.add_waker(Arc::clone(&w) as Arc<dyn QueueWaker>);
-        q.push(noop());
-        q.push(noop());
-        assert_eq!(w.0.load(Ordering::SeqCst), 2);
-        q.remove_waker(id);
-        q.push(noop());
-        assert_eq!(w.0.load(Ordering::SeqCst), 2, "removed waker must not fire");
-
-        let id2 = q.add_waker(Arc::clone(&w) as Arc<dyn QueueWaker>);
-        q.close();
-        assert_eq!(w.0.load(Ordering::SeqCst), 3, "close must wake observers");
-        q.remove_waker(id2);
-    }
-
-    #[test]
-    fn waker_tokens_are_independent() {
-        let q = EventQueue::new();
-        let a = Arc::new(CountingWaker(AtomicUsize::new(0)));
-        let b = Arc::new(CountingWaker(AtomicUsize::new(0)));
-        let ida = q.add_waker(Arc::clone(&a) as Arc<dyn QueueWaker>);
-        let _idb = q.add_waker(Arc::clone(&b) as Arc<dyn QueueWaker>);
-        q.remove_waker(ida);
-        q.push(noop());
-        assert_eq!(a.0.load(Ordering::SeqCst), 0);
-        assert_eq!(b.0.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -187,8 +187,8 @@ impl Runtime {
     ///
     /// * On an event-loop thread (the EDT), pump the loop re-entrantly.
     /// * On a worker-pool thread, execute another task from the pool queue.
-    /// * When there is nothing to help with, park on a
-    ///   [`WakeSignal`](crate::parker::WakeSignal) that all three wake
+    /// * When there is nothing to help with, park on the thread's own
+    ///   [`WakeSignal`](crate::parker::WakeSignal), which all three wake
     ///   sources notify — the awaited handle's completion, an event posted
     ///   to this thread's loop, a task enqueued on this thread's pool. No
     ///   timed polling: work arriving mid-park is helped immediately, and a

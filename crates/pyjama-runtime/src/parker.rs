@@ -1,184 +1,43 @@
-//! The wake-driven parker behind the `await` logical barrier.
+//! The wake-driven `await` logical barrier.
 //!
-//! The barrier used to fall back to a timed poll: park for a 200µs quantum,
-//! re-check, repeat. Any work arriving while the encountering thread was
-//! parked waited out the remainder of the quantum before being helped, and a
-//! plain thread burnt a wakeup per quantum on a condition that can only
-//! change once. [`WakeSignal`] replaces that with real wakeups.
+//! With nothing to help with, the encountering thread parks on its own
+//! parker ([`WakeSignal`], see [`pyjama_events::parker`]), which every
+//! source that can end the barrier or hand it work already notifies:
 //!
-//! One signal is created per barrier entry and registered with every source
-//! that can either resolve the barrier or produce work for it to help with:
+//! 1. the awaited [`TaskHandle`]'s terminal transition (the barrier enlists
+//!    the parker on the handle's waiter list);
+//! 2. a post to the event loop the thread is running (the thread running a
+//!    loop is its queue's owner);
+//! 3. a region enqueued on — or shutdown of — the worker pool the thread
+//!    belongs to (a member parked here publishes `parked` like an idle
+//!    worker, so `wake_one` can pick it).
 //!
-//! 1. the terminal transition of the awaited [`TaskHandle`]
-//!    ([`TaskHandle::add_waker`](crate::task)),
-//! 2. events posted to the event loop the thread is currently running
-//!    (`pyjama-events`' [`QueueWaker`] hook on the loop's queue),
-//! 3. regions enqueued on — or shutdown of — the worker pool the thread
-//!    belongs to ([`WorkerTarget`] waker registration).
-//!
-//! ## Why registration is race-free
-//!
-//! `notify` stores a *permit* that a later `park` consumes without blocking,
-//! so a wake arriving between "no work observed" and "thread parked" is
-//! never lost. The barrier registers with all sources *before* its first
-//! check: work or completion that predates registration is caught by the
-//! check, anything later sets the permit. Deregistration is by token through
-//! RAII guards; tokens are never reused, so a deregistration racing a
-//! concurrent drain (task completion takes the waker list) or a re-entrant
-//! barrier on the same thread (which holds its own signal and tokens) cannot
-//! remove the wrong entry — the ABA hazard of a slot-based scheme does not
-//! exist here.
-//!
-//! ## One permit on the one eventcount
-//!
-//! The permit is an `AtomicBool`; `park` is an [`EventCount`] wait (spin 0)
-//! that swaps it out. `notify` calls the eventcount only when it is the call
-//! that set the permit: a pending permit proves an earlier `notify` set it
-//! and woke (or will be seen by) the same park, so a burst of posts to one
-//! parked worker costs one wake.
-//!
-//! Timers are the one wake that has no post-side hook (nothing "arrives"
-//! when a deadline passes), so a parked EDT bounds its sleep by the loop's
-//! next timer deadline — an exact event time, not a poll quantum.
+//! Nothing is registered with the loop or the pool and the handle's entry
+//! is the parker itself, so there is no token and no allocation. The loop
+//! re-checks its handle before each help pass and each park, so a wake
+//! consumed by a nested wait on the same thread costs it nothing. Timers
+//! are the one wake nothing notifies, so a parked EDT bounds its sleep by
+//! the loop's next timer deadline — an exact event time, never a poll
+//! quantum.
 //!
 //! Model-checked twin: `pyjama-check/src/models/parker.rs` ports
-//! [`WakeSignal`] (on `ModelEventCount`, the twin of [`EventCount`]) and
-//! the `await_until_inner` accounting loop onto instrumented shims and
-//! explores the notify-vs-park and wake-vs-deadline races (plus mutations
-//! that re-lose the permit, suppress the wake by a flag `park` never
-//! clears, and re-introduce the timeout spurious-undercount). Keep the port
-//! in sync with protocol changes here — DESIGN.md §5h.
+//! `await_until_inner`'s accounting and its nesting (DESIGN.md §5h).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-use pyjama_sync::{EventCount, Wait};
-use pyjama_events::{pump, EventLoopHandle, QueueWaker};
-use pyjama_metrics::park::ParkCounters;
-pub use pyjama_metrics::park::ParkStats;
+use pyjama_events::parker::note_spurious_wake;
+pub use pyjama_events::parker::{park_stats, reset_park_stats, ParkStats, WakeSignal};
+use pyjama_events::pump;
 use pyjama_trace::Stage;
 
 use crate::task::TaskHandle;
 use crate::worker::WorkerTarget;
 
-/// Process-wide parker counters (all barriers, all threads).
-static COUNTERS: ParkCounters = ParkCounters::new();
-
-/// Snapshot of the process-wide park/wake counters: how often await barriers
-/// actually blocked, how often wake sources fired, and how many wakeups
-/// delivered no work.
-pub fn park_stats() -> ParkStats {
-    COUNTERS.snapshot()
-}
-
-/// Zeroes the process-wide park/wake counters. Increments racing the reset
-/// land on either side of it; quiesce barriers first for exact figures.
-pub fn reset_park_stats() {
-    COUNTERS.reset();
-}
-
-/// A one-thread parker with permit semantics: `notify` from any thread,
-/// `park` from the owning thread. A notify delivered while the owner is not
-/// parked is stored and satisfies the next park immediately.
-pub struct WakeSignal {
-    /// A pending wake not yet consumed by `park`.
-    permit: AtomicBool,
-    wake: EventCount,
-}
-
-impl WakeSignal {
-    /// A fresh signal with no pending permit.
-    pub fn new() -> Self {
-        WakeSignal {
-            permit: AtomicBool::new(false),
-            wake: EventCount::new(),
-        }
-    }
-
-    /// Wakes the owning thread: sets the permit and, if no permit was
-    /// already pending, releases a parked owner. Callable from any thread,
-    /// any number of times; permits do not accumulate, and neither do
-    /// condvar wakes — a pending permit means the wake is in flight.
-    pub fn notify(&self) {
-        COUNTERS.notifies.inc();
-        if !self.permit.swap(true, Ordering::SeqCst) {
-            self.wake.notify();
-        }
-    }
-
-    /// Blocks until a permit is available, then consumes it. Returns
-    /// immediately (without blocking) if a permit is already pending.
-    pub fn park(&self) {
-        self.park_inner(None);
-    }
-
-    /// Like [`park`](Self::park) but gives up at `deadline`. Returns `true`
-    /// if a permit was consumed, `false` on timeout.
-    pub fn park_until(&self, deadline: Instant) -> bool {
-        self.park_inner(Some(deadline))
-    }
-
-    fn park_inner(&self, deadline: Option<Instant>) -> bool {
-        let waited = self
-            .wake
-            .wait(0, deadline, || self.permit.swap(false, Ordering::SeqCst));
-        match waited {
-            Wait::Spun => true,
-            Wait::Parked => {
-                COUNTERS.parks.inc();
-                COUNTERS.wakes.inc();
-                true
-            }
-            Wait::TimedOut => {
-                COUNTERS.parks.inc();
-                false
-            }
-        }
-    }
-}
-
-impl Default for WakeSignal {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QueueWaker for WakeSignal {
-    fn wake(&self) {
-        self.notify();
-    }
-}
-
-/// RAII deregistration from the awaited task's waker list.
-struct TaskWakerGuard<'a> {
-    handle: &'a TaskHandle,
-    id: u64,
-}
-
-impl Drop for TaskWakerGuard<'_> {
-    fn drop(&mut self) {
-        self.handle.remove_waker(self.id);
-    }
-}
-
-/// RAII deregistration from an event loop's queue wakers.
-struct LoopWakerGuard {
-    handle: EventLoopHandle,
-    id: u64,
-}
-
-impl Drop for LoopWakerGuard {
-    fn drop(&mut self) {
-        self.handle.remove_waker(self.id);
-    }
-}
-
 /// The wake-driven logical barrier loop shared by
 /// [`Runtime::await_barrier`](crate::Runtime::await_barrier) and the
 /// deadline-bounded pumping joins. Helps (pumps the current event loop,
-/// drains the current pool's queue) while work is available; parks on a
-/// [`WakeSignal`] otherwise. Returns whether `handle` reached a terminal
+/// drains the current pool's queue) while work is available; parks on the
+/// thread's parker otherwise. Returns whether `handle` reached a terminal
 /// state (always `true` when `deadline` is `None`).
 pub(crate) fn await_until(handle: &TaskHandle, deadline: Option<Instant>) -> bool {
     if handle.is_finished() {
@@ -192,23 +51,13 @@ pub(crate) fn await_until(handle: &TaskHandle, deadline: Option<Instant>) -> boo
 }
 
 fn await_until_inner(handle: &TaskHandle, deadline: Option<Instant>, trace: pyjama_trace::TraceId) -> bool {
-    let signal = Arc::new(WakeSignal::new());
-
-    // Register with every wake source *before* the first work check. Any
-    // post or completion from here on sets the permit; anything earlier is
-    // observed by the checks below. The guards deregister on every exit
-    // path, including a propagating panic.
-    let _task_guard = TaskWakerGuard {
-        id: handle.add_waker(Arc::clone(&signal)),
-        handle,
+    // Enlist *before* the first work check: a completion from here on sets
+    // the permit; an earlier one is observed by the checks below. The
+    // waiter leaves the list on every exit path, a propagating panic too.
+    let Some(waiter) = handle.enlist() else {
+        return true;
     };
     let loop_handle = pump::current_handle();
-    let _loop_guard = loop_handle.as_ref().map(|h| LoopWakerGuard {
-        id: h.add_waker(Arc::clone(&signal) as Arc<dyn QueueWaker>),
-        handle: h.clone(),
-    });
-    let _pool_guard = WorkerTarget::register_current_waker(&signal);
-
     let mut woke_with_no_work = false;
     loop {
         if handle.is_finished() {
@@ -220,7 +69,7 @@ fn await_until_inner(handle: &TaskHandle, deadline: Option<Instant>, trace: pyja
                 // no work either — record it before leaving, or deadline
                 // exits would silently eat one no-work wakeup.
                 if woke_with_no_work {
-                    COUNTERS.spurious_wakes.inc();
+                    note_spurious_wake();
                 }
                 return handle.is_finished();
             }
@@ -230,7 +79,7 @@ fn await_until_inner(handle: &TaskHandle, deadline: Option<Instant>, trace: pyja
             continue;
         }
         if woke_with_no_work {
-            COUNTERS.spurious_wakes.inc();
+            note_spurious_wake();
         }
         // Nothing to help with: park until a wake source fires, bounding the
         // sleep only by real deadlines (the caller's, or the loop's next
@@ -241,13 +90,7 @@ fn await_until_inner(handle: &TaskHandle, deadline: Option<Instant>, trace: pyja
             (a, b) => a.or(b),
         };
         pyjama_trace::emit(trace, Stage::BarrierPark, 0);
-        let notified = match until {
-            Some(d) => signal.park_until(d),
-            None => {
-                signal.park();
-                true
-            }
-        };
+        let notified = WorkerTarget::park_current(&waiter.parker, until);
         // A timeout return is still a wakeup: if the next iteration finds
         // no work, it was a no-work wakeup regardless of who caused it.
         // (The old `woke_with_no_work = notified` under-counted: every
@@ -262,120 +105,7 @@ fn await_until_inner(handle: &TaskHandle, deadline: Option<Instant>, trace: pyja
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
-
-    #[test]
-    fn notify_before_park_is_not_lost() {
-        let s = WakeSignal::new();
-        s.notify();
-        let t0 = Instant::now();
-        s.park(); // must not block
-        assert!(t0.elapsed() < Duration::from_millis(50));
-    }
-
-    #[test]
-    fn permits_do_not_accumulate() {
-        let s = WakeSignal::new();
-        s.notify();
-        s.notify();
-        s.park(); // consumes the single stored permit
-        assert!(
-            !s.park_until(Instant::now() + Duration::from_millis(10)),
-            "second park must time out: permits are binary"
-        );
-    }
-
-    #[test]
-    fn park_blocks_until_notify() {
-        let s = Arc::new(WakeSignal::new());
-        let released = Arc::new(AtomicBool::new(false));
-        let (s2, r2) = (Arc::clone(&s), Arc::clone(&released));
-        let t = std::thread::spawn(move || {
-            s2.park();
-            r2.store(true, Ordering::SeqCst);
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!released.load(Ordering::SeqCst), "park must block");
-        s.notify();
-        t.join().unwrap();
-        assert!(released.load(Ordering::SeqCst));
-    }
-
-    /// Two rounds, each notified twice once the owner is parked: the second
-    /// notify of a round usually finds the permit pending and skips the
-    /// condvar wake, and that suppression must not leak into the next
-    /// park. (When the owner wins the race, the second notify lands in its
-    /// next park instead — a no-work wake the round loop absorbs.)
-    #[test]
-    fn suppressed_wake_does_not_outlive_its_park() {
-        let s = Arc::new(WakeSignal::new());
-        let stage = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let acked = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let (s2, st2, ack2) = (Arc::clone(&s), Arc::clone(&stage), Arc::clone(&acked));
-        let t = std::thread::spawn(move || {
-            for round in 1..=2 {
-                while st2.load(Ordering::SeqCst) < round {
-                    s2.park();
-                }
-                ack2.store(round, Ordering::SeqCst);
-            }
-        });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        for round in 1..=2 {
-            while s.wake.sleepers() == 0 {
-                std::thread::yield_now();
-            }
-            stage.store(round, Ordering::SeqCst);
-            s.notify();
-            s.notify();
-            while acked.load(Ordering::SeqCst) < round {
-                assert!(
-                    Instant::now() < deadline,
-                    "round {round}: the parked owner was never woken"
-                );
-                std::thread::yield_now();
-            }
-        }
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn park_until_times_out_without_notify() {
-        let s = WakeSignal::new();
-        let t0 = Instant::now();
-        assert!(!s.park_until(t0 + Duration::from_millis(20)));
-        assert!(t0.elapsed() >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn park_until_woken_by_notify() {
-        let s = Arc::new(WakeSignal::new());
-        let s2 = Arc::clone(&s);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            s2.notify();
-        });
-        assert!(s.park_until(Instant::now() + Duration::from_secs(5)));
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn counters_record_park_and_wake() {
-        let before = park_stats();
-        let s = Arc::new(WakeSignal::new());
-        let s2 = Arc::clone(&s);
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            s2.notify();
-        });
-        s.park();
-        t.join().unwrap();
-        let after = park_stats();
-        assert!(after.parks > before.parks);
-        assert!(after.wakes > before.wakes);
-        assert!(after.notifies > before.notifies);
-    }
 
     #[test]
     fn await_until_deadline_expires_on_stuck_task() {
@@ -387,8 +117,10 @@ mod tests {
             Some(t0 + Duration::from_millis(30))
         ));
         assert!(t0.elapsed() >= Duration::from_millis(30));
-        // The barrier's waker guards must have deregistered.
-        region.execute(); // no stale waker to notify; nothing panics
+        // The barrier's waiter must have left the handle's list: only the
+        // thread-local slot and this clone still hold the parker.
+        assert_eq!(std::sync::Arc::strong_count(&pyjama_events::parker::current()), 2);
+        region.execute();
     }
 
     #[test]

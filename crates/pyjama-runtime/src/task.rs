@@ -4,14 +4,20 @@
 //! TargetRegion class, with its run() function implementing the user code"
 //! (§IV-A). [`TargetRegion`] is that runnable; [`TaskHandle`] is the
 //! completion state that the scheduling modes synchronise on.
+//!
+//! Every thread waiting on a handle — `wait`, `join`, the `await` barrier —
+//! enlists its own parker ([`pyjama_events::parker`]) on the handle's
+//! waiter list and parks on it; the terminal transition drains the list and
+//! notifies each parker.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pyjama_sync::{Condvar, Mutex};
 use pyjama_events::inline::InlineFn;
+use pyjama_events::parker;
+use pyjama_sync::Mutex;
 use pyjama_trace::{arg as trace_arg, Stage, TraceId};
 
 use crate::parker::WakeSignal;
@@ -65,7 +71,6 @@ impl TaskState {
 
 struct Core {
     state: Mutex<CoreState>,
-    cond: Condvar,
     /// Mirror of `CoreState::state`, written under the mutex, readable
     /// without it. `state()` / `is_finished()` / the recycler's eligibility
     /// checks sit on the per-post hot path; taking the mutex there costs
@@ -78,17 +83,11 @@ struct Core {
 struct CoreState {
     state: TaskState,
     panic_payload: Option<Box<dyn Any + Send>>,
-    /// Threads blocked in `wait`/`wait_timeout` on `cond` right now.
-    /// Registered under the same mutex `transition` holds, so the count is
-    /// exact at the notify decision point: when it is zero the
-    /// `notify_all` is provably a no-op and is skipped (a bare
-    /// parking-lot `notify_all` still costs ~160ns, twice per executed
-    /// region — the single largest fixed cost on the recycled post path).
-    waiters: u32,
-    /// Await-barrier parkers to notify on the terminal transition. Tokens
-    /// are handle-local and never reused.
-    wakers: Vec<(u64, Arc<WakeSignal>)>,
-    next_waker_id: u64,
+    /// Parkers of the threads waiting for the terminal transition, one
+    /// entry per wait (nested waits of one thread enlist it twice). The
+    /// transition drains it in place, so a recycled region keeps the
+    /// capacity and a warm wait allocates nothing.
+    waiters: Vec<Arc<WakeSignal>>,
 }
 
 /// A clonable handle observing one target block's completion.
@@ -106,11 +105,8 @@ impl TaskHandle {
                 state: Mutex::new(CoreState {
                     state: TaskState::Pending,
                     panic_payload: None,
-                    waiters: 0,
-                    wakers: Vec::new(),
-                    next_waker_id: 0,
+                    waiters: Vec::new(),
                 }),
-                cond: Condvar::new(),
                 tag: AtomicU8::new(TaskState::Pending.as_u8()),
             }),
             label,
@@ -141,25 +137,22 @@ impl TaskHandle {
 
     /// Blocks until the task finishes. Does not propagate panics.
     pub fn wait(&self) {
-        let mut g = self.core.state.lock();
-        while !g.state.is_terminal() {
-            g.waiters += 1;
-            self.core.cond.wait(&mut g);
-            g.waiters -= 1;
-        }
+        self.wait_deadline(None);
     }
 
     /// Blocks until the task finishes or `timeout` elapses. Returns `true`
     /// if the task finished.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut g = self.core.state.lock();
-        while !g.state.is_terminal() {
-            g.waiters += 1;
-            let timed_out = self.core.cond.wait_until(&mut g, deadline).timed_out();
-            g.waiters -= 1;
-            if timed_out {
-                return g.state.is_terminal();
+        self.wait_deadline(Some(Instant::now() + timeout))
+    }
+
+    fn wait_deadline(&self, deadline: Option<Instant>) -> bool {
+        let Some(waiter) = self.enlist() else {
+            return true;
+        };
+        while !self.is_finished() {
+            if !waiter.parker.park_deadline(deadline) {
+                return self.is_finished();
             }
         }
         true
@@ -170,10 +163,34 @@ impl TaskHandle {
     /// of the block would have had.
     pub fn join(&self) {
         self.wait();
+        // Only the Panicked transition stores a payload, under the lock
+        // that also publishes the state: skip the lock otherwise.
+        if self.state() != TaskState::Panicked {
+            return;
+        }
         let payload = self.core.state.lock().panic_payload.take();
         if let Some(p) = payload {
             std::panic::resume_unwind(p);
         }
+    }
+
+    /// Enlists the calling thread's parker for the terminal transition.
+    /// `None` when the task is already terminal. The returned waiter leaves
+    /// the list when dropped, unless the transition already drained it.
+    pub(crate) fn enlist(&self) -> Option<Waiter<'_>> {
+        if self.is_finished() {
+            return None;
+        }
+        let parker = parker::current();
+        let mut g = self.core.state.lock();
+        if g.state.is_terminal() {
+            return None;
+        }
+        g.waiters.push(Arc::clone(&parker));
+        Some(Waiter {
+            handle: self,
+            parker,
+        })
     }
 
     /// Diagnostic label of the region this handle belongs to.
@@ -188,46 +205,39 @@ impl TaskHandle {
         if payload.is_some() {
             g.panic_payload = payload;
         }
-        // `wait`/`wait_timeout` loop until terminal, so only the terminal
-        // transition needs the condvar — and only when someone is actually
-        // blocked on it. `waiters` is maintained under this same mutex, so
-        // a zero read here proves the notify would be a no-op; skipping it
-        // removes ~320ns of bare notify_all from every executed region
-        // (two transitions each) on the common nobody-is-joining path.
-        let notify = to.is_terminal() && g.waiters > 0;
-        // The terminal transition is a wake source for await barriers: drain
-        // the registered parkers under the lock, signal them after it.
-        let wakers = if to.is_terminal() && !g.wakers.is_empty() {
-            std::mem::take(&mut g.wakers)
-        } else {
-            Vec::new()
-        };
-        drop(g);
-        if notify {
-            self.core.cond.notify_all();
-        }
-        for (_, w) in wakers {
-            w.notify();
+        // Waiters loop until terminal, so only the terminal transition
+        // notifies. Draining in place under the lock keeps the list's
+        // capacity for the region's next incarnation; a notify is a permit
+        // swap plus, for a parked waiter, one futex wake, and a woken
+        // waiter needs this lock only to take a panic payload.
+        if to.is_terminal() {
+            for w in g.waiters.drain(..) {
+                w.notify();
+            }
         }
     }
+}
 
-    /// Registers an await-barrier parker to be signalled on the terminal
-    /// transition. If the task is already terminal the registration is inert
-    /// (the caller re-checks [`is_finished`](Self::is_finished) after
-    /// registering, so no wake is lost). Returns a token for
-    /// [`remove_waker`](Self::remove_waker).
-    pub(crate) fn add_waker(&self, waker: Arc<WakeSignal>) -> u64 {
-        let mut g = self.core.state.lock();
-        let id = g.next_waker_id;
-        g.next_waker_id += 1;
-        g.wakers.push((id, waker));
-        id
-    }
+/// One wait's entry on a [`TaskHandle`]'s waiter list: the waiting thread's
+/// parker. Entries of one thread are interchangeable, so leaving removes
+/// any one of them.
+pub(crate) struct Waiter<'a> {
+    handle: &'a TaskHandle,
+    /// The waiting thread's own parker: park on it.
+    pub(crate) parker: Arc<WakeSignal>,
+}
 
-    /// Removes a parker registered with [`add_waker`](Self::add_waker).
-    /// Already-drained or unknown tokens are ignored.
-    pub(crate) fn remove_waker(&self, id: u64) {
-        self.core.state.lock().wakers.retain(|(i, _)| *i != id);
+impl Drop for Waiter<'_> {
+    fn drop(&mut self) {
+        // A terminal state is published under the lock in the same hold
+        // that drains the list, so the entry is gone or about to be.
+        if self.handle.is_finished() {
+            return;
+        }
+        let mut g = self.handle.core.state.lock();
+        if let Some(i) = g.waiters.iter().position(|w| Arc::ptr_eq(w, &self.parker)) {
+            g.waiters.swap_remove(i);
+        }
     }
 }
 
@@ -342,9 +352,10 @@ impl TargetRegion {
     }
 
     /// Re-arms a recycled region in place: fresh label/trace/body, core
-    /// state back to `Pending`, panic payload cleared, waker list cleared
-    /// (capacity kept). The caller must hold the only reference
-    /// (`Arc::get_mut` succeeded) and have verified
+    /// state back to `Pending`, panic payload cleared; the terminal
+    /// transition already drained the waiter list, keeping its capacity.
+    /// The caller must hold the only reference (`Arc::get_mut` succeeded)
+    /// and have verified
     /// [`recyclable`](Self::recyclable).
     pub(crate) fn reset(&mut self, label: Arc<str>, trace: TraceId, body: InlineFn) {
         // `recyclable()` proved the core's strong count is 1 and we hold
@@ -355,10 +366,7 @@ impl TargetRegion {
         g.state = TaskState::Pending;
         core.tag.store(TaskState::Pending.as_u8(), Ordering::Release);
         g.panic_payload = None;
-        g.wakers.clear();
-        // next_waker_id keeps increasing: tokens stay unique across
-        // incarnations, so a stale remove_waker can never hit a fresh
-        // registration.
+        debug_assert!(g.waiters.is_empty());
         self.handle.label = label;
         self.handle.trace = trace;
         *self.body.get_mut() = Some(body);
@@ -633,29 +641,34 @@ mod tests {
         assert_eq!(r.handle().state(), TaskState::Finished);
     }
 
+    fn waiters(h: &TaskHandle) -> usize {
+        h.core.state.lock().waiters.len()
+    }
+
     #[test]
-    fn waker_notified_on_completion_and_removable() {
-        use crate::parker::WakeSignal;
+    fn terminal_transition_notifies_and_drains_waiters() {
         let r = TargetRegion::new("t", || {});
         let h = r.handle();
-        let w = Arc::new(WakeSignal::new());
-        let id = h.add_waker(Arc::clone(&w));
-        let _ = id;
+        let w = h.enlist().expect("pending task enlists");
+        let nested = h.enlist().expect("a nested wait enlists the same parker again");
+        assert!(Arc::ptr_eq(&w.parker, &nested.parker));
+        assert_eq!(waiters(&h), 2);
+        drop(nested);
+        assert_eq!(waiters(&h), 1, "leaving removes one entry, not every entry of the thread");
         r.execute();
-        // The terminal transition must have set the permit: a park now
-        // returns immediately instead of blocking.
-        w.park();
+        assert_eq!(waiters(&h), 0, "the terminal transition drains the list");
+        // It must have set the permit: a park now returns immediately.
+        assert!(w.parker.park_until(Instant::now() + Duration::from_secs(5)));
+        drop(w);
+        assert!(h.enlist().is_none(), "a terminal task enlists nobody");
+    }
 
-        // A removed waker is not signalled.
-        let r2 = TargetRegion::new("t2", || {});
-        let h2 = r2.handle();
-        let w2 = Arc::new(WakeSignal::new());
-        let id2 = h2.add_waker(Arc::clone(&w2));
-        h2.remove_waker(id2);
-        r2.execute();
-        assert!(
-            !w2.park_until(Instant::now() + Duration::from_millis(10)),
-            "removed waker must not be notified"
-        );
+    #[test]
+    fn timed_out_wait_leaves_the_list() {
+        let r = TargetRegion::new("t", || {});
+        let h = r.handle();
+        assert!(!h.wait_timeout(Duration::from_millis(5)));
+        assert_eq!(waiters(&h), 0);
+        r.execute();
     }
 }

@@ -9,7 +9,7 @@
 //! ## Scheduling
 //!
 //! The pool used to funnel every submit, pop and await-barrier help through
-//! one `Mutex<VecDeque>` + `Condvar`, so an m-thread pool serialized on a
+//! one `Mutex<VecDeque>` and a condition variable, so an m-thread pool serialized on a
 //! single lock exactly where the HTTP and GUI benchmarks stress it hardest.
 //! It now schedules through three distributed sources:
 //!
@@ -34,15 +34,17 @@
 //! `injector_pops`).
 //!
 //! Members look for work in that order (local, buffered, steal, injector)
-//! and park on
-//! their [`WakeSignal`] when every source is dry. An enqueue wakes exactly
-//! **one** parked helper — a parked pool thread if there is one, otherwise
-//! one registered await-barrier parker — and a woken thread that finds more
-//! work pending cascades the wake to the next sleeper. Only shutdown
-//! notifies everyone. The park/wake handshake is the standard eventcount
-//! protocol: a thread marks itself parked, fences, re-checks all sources,
-//! and only then blocks; a producer publishes the item, fences, and only
-//! then scans for sleepers — one side always observes the other.
+//! and park when every source is dry. Each slot owns its member thread's
+//! parker (the thread adopts the slot's [`WakeSignal`] as the one parker
+//! every wait on it uses, see `pyjama_events::parker`). A member parks as
+//! `parked` in two places: idle in its run loop, and inside an `await`
+//! barrier with nothing to help with. An enqueue wakes exactly **one**
+//! `parked` member, and a woken thread that finds more work pending
+//! cascades the wake to the next sleeper. Only shutdown notifies everyone.
+//! The park/wake handshake is the standard eventcount protocol: a thread
+//! marks itself parked, fences, re-checks all sources, and only then
+//! blocks; a producer publishes the item, fences, and only then scans for
+//! sleepers — one side always observes the other.
 //!
 //! The await logical barrier's helping path (`help_one`,
 //! [`WorkerTarget::help_current_thread_pool`], Algorithm 1 line 15) runs the
@@ -80,6 +82,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use pyjama_sync::Mutex;
 use pyjama_trace::{arg as trace_arg, Stage};
@@ -123,10 +126,11 @@ struct WorkerSlot {
     pending: Mutex<VecDeque<Arc<TargetRegion>>>,
     /// Lock-free mirror of `pending.len()` so `queue_len` stays lock-free.
     pending_len: AtomicUsize,
-    /// Parker for the thread's idle loop.
-    signal: WakeSignal,
+    /// The member thread's parker: every wait on that thread parks on it.
+    signal: Arc<WakeSignal>,
     /// True while the thread is inside (or committing to) a park in its run
-    /// loop; producers scan this to pick a single thread to wake.
+    /// loop or in an await; producers scan this to pick a single thread to
+    /// wake.
     parked: AtomicBool,
     /// True while the thread is retired by a shrink (parked indefinitely,
     /// deque drained). Retired slots are *not* wake candidates: `parked`
@@ -142,13 +146,6 @@ struct Injector {
     shutdown: bool,
 }
 
-/// Await-barrier parkers of member threads; one is notified per enqueue
-/// when no pool thread is parked, all on shutdown. Tokens never reused.
-struct BarrierWakers {
-    wakers: Vec<(u64, Arc<WakeSignal>)>,
-    next_id: u64,
-}
-
 struct Inner {
     name: String,
     slots: Box<[WorkerSlot]>,
@@ -162,9 +159,6 @@ struct Inner {
     /// Bounded above by `slots.len()` (the fixed capacity). SeqCst so the
     /// retire check composes with the eventcount handshake's fences.
     target_threads: AtomicUsize,
-    barrier: Mutex<BarrierWakers>,
-    /// Round-robin cursor over registered barrier wakers.
-    barrier_rr: AtomicUsize,
     stats: TargetCounters,
 }
 
@@ -334,28 +328,49 @@ impl Inner {
                 .sum::<usize>()
     }
 
-    /// Wakes a single parked helper: a parked pool thread if any, otherwise
-    /// one registered await-barrier parker (round-robin). Callers must have
-    /// published the new work (and fenced) first.
+    /// Wakes a single `parked` member: idle in its run loop, or parked in an
+    /// await. Callers must have published the new work (and fenced) first.
     fn wake_one(&self) {
-        for slot in self.slots.iter() {
-            if slot.parked.load(Ordering::SeqCst) {
-                slot.signal.notify();
-                return;
-            }
+        if let Some(slot) = self.slots.iter().find(|s| s.parked.load(Ordering::SeqCst)) {
+            slot.signal.notify();
         }
-        let waker = {
-            let g = self.barrier.lock();
-            if g.wakers.is_empty() {
-                None
-            } else {
-                let i = self.barrier_rr.fetch_add(1, Ordering::Relaxed) % g.wakers.len();
-                Some(Arc::clone(&g.wakers[i].1))
-            }
+    }
+
+    /// The eventcount park of member `me`: declare `parked`, fence,
+    /// re-check, then block on the thread's parker. A producer publishes
+    /// first and scans second, so either the re-check sees the item or the
+    /// producer sees `parked`. An `idle` member (its run loop) leaves on
+    /// shutdown, so a flagged shutdown ends its wait like work does, and
+    /// its block is traced as a worker park; an await keeps waiting for its
+    /// handle. `false` on timeout.
+    fn park_member(&self, me: usize, deadline: Option<Instant>, idle: bool) -> bool {
+        let slot = &self.slots[me];
+        slot.parked.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        let woke = if self.has_pending() || (idle && self.shutdown.load(Ordering::SeqCst)) {
+            true
+        } else {
+            let trace = |stage| {
+                if idle {
+                    pyjama_trace::emit(pyjama_trace::TraceId::NONE, stage, me as u32);
+                }
+            };
+            trace(Stage::WorkerPark);
+            let woke = slot.signal.park_deadline(deadline);
+            trace(Stage::WorkerWake);
+            woke
         };
-        if let Some(w) = waker {
-            w.notify();
-        }
+        slot.parked.store(false, Ordering::SeqCst);
+        woke
+    }
+
+    /// Runs one region acquired by member `me` from inside a handler (the
+    /// await barrier's helping); `false` when every source is dry.
+    fn help(&self, me: usize) -> bool {
+        let Some(region) = self.acquire(me) else { return false };
+        self.run(region);
+        self.stats.helped.inc();
+        true
     }
 
     /// Executes one region on behalf of the pool, then offers it back to
@@ -379,6 +394,7 @@ impl Inner {
     /// drain), and any already-popped region is executed by its holder
     /// before that holder's next (and final) empty check.
     fn run_loop(self: &Arc<Self>, me: usize) {
+        pyjama_events::parker::adopt(Arc::clone(&self.slots[me].signal));
         CURRENT_WORKER.with(|c| {
             *c.borrow_mut() = Some(WorkerCtx {
                 inner: Arc::downgrade(self),
@@ -411,20 +427,7 @@ impl Inner {
                 }
                 return;
             }
-            // Eventcount park: declare, fence, re-check, then block. A
-            // producer publishes first and scans second, so either our
-            // re-check sees the item or the producer sees `parked`.
-            let slot = &self.slots[me];
-            slot.parked.store(true, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            if self.has_pending() || self.shutdown.load(Ordering::SeqCst) {
-                slot.parked.store(false, Ordering::SeqCst);
-                continue;
-            }
-            pyjama_trace::emit(pyjama_trace::TraceId::NONE, Stage::WorkerPark, me as u32);
-            slot.signal.park();
-            pyjama_trace::emit(pyjama_trace::TraceId::NONE, Stage::WorkerWake, me as u32);
-            slot.parked.store(false, Ordering::SeqCst);
+            self.park_member(me, None, true);
         }
     }
 
@@ -488,22 +491,6 @@ impl Inner {
         self.stats.rejected.inc();
         region.cancel();
         crate::slab::release(region);
-    }
-}
-
-/// RAII registration of an await-barrier parker with a worker pool; removes
-/// the waker on drop (including on a propagating panic). Holds the pool
-/// weakly so a pool torn down mid-await needs no special casing.
-pub(crate) struct PoolWakerGuard {
-    inner: Weak<Inner>,
-    id: u64,
-}
-
-impl Drop for PoolWakerGuard {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.upgrade() {
-            inner.barrier.lock().wakers.retain(|(i, _)| *i != self.id);
-        }
     }
 }
 
@@ -581,7 +568,7 @@ impl WorkerTarget {
                 deque: ChaseLev::new(),
                 pending: Mutex::new(VecDeque::new()),
                 pending_len: AtomicUsize::new(0),
-                signal: WakeSignal::new(),
+                signal: Arc::new(WakeSignal::new()),
                 parked: AtomicBool::new(false),
                 retired: AtomicBool::new(false),
             })
@@ -597,11 +584,6 @@ impl WorkerTarget {
             injector_len: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             target_threads: AtomicUsize::new(m),
-            barrier: Mutex::new(BarrierWakers {
-                wakers: Vec::new(),
-                next_id: 0,
-            }),
-            barrier_rr: AtomicUsize::new(0),
             stats: TargetCounters::default(),
         });
         let threads = (0..capacity)
@@ -695,18 +677,11 @@ impl WorkerTarget {
         // the flag and cancels.
         self.inner.injector.lock().shutdown = true;
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Shutdown is the one event that notifies everyone: parked pool
-        // threads re-check and exit, parked helpers re-check rather than
-        // sleep through it.
+        // Shutdown is the one event that notifies everyone: idle members
+        // re-check and exit, members parked in an await re-check rather
+        // than sleep through it.
         for slot in self.inner.slots.iter() {
             slot.signal.notify();
-        }
-        let wakers: Vec<_> = {
-            let g = self.inner.barrier.lock();
-            g.wakers.iter().map(|(_, w)| Arc::clone(w)).collect()
-        };
-        for w in wakers {
-            w.notify();
         }
         let me = std::thread::current().id();
         let mut threads = self.threads.lock();
@@ -719,48 +694,34 @@ impl WorkerTarget {
         }
     }
 
-    /// Registers an await-barrier parker with the pool the current thread
-    /// belongs to, so a region posted to the pool wakes the parked helper.
-    /// Returns `None` off pool threads. The registration is removed when the
-    /// returned guard drops.
-    pub(crate) fn register_current_waker(signal: &Arc<WakeSignal>) -> Option<PoolWakerGuard> {
-        let inner = CURRENT_WORKER
-            .with(|c| c.borrow().as_ref().map(|ctx| ctx.inner.clone()))?
-            .upgrade()?;
-        let id = {
-            let mut g = inner.barrier.lock();
-            let id = g.next_id;
-            g.next_id += 1;
-            g.wakers.push((id, Arc::clone(signal)));
-            id
-        };
-        Some(PoolWakerGuard {
-            inner: Arc::downgrade(&inner),
-            id,
-        })
-    }
-
     /// Help-process one pending task of the worker pool the current thread
     /// belongs to. Free function used by the await logical barrier when the
     /// encountering thread is itself a pool worker. Runs the same
     /// local-pop → steal → injector acquisition as the pool's run loop.
     pub fn help_current_thread_pool() -> bool {
-        let ctx = CURRENT_WORKER.with(|c| {
-            c.borrow()
-                .as_ref()
-                .map(|ctx| (ctx.inner.clone(), ctx.index))
-        });
-        let Some((weak, me)) = ctx else { return false };
-        let Some(inner) = weak.upgrade() else { return false };
-        match inner.acquire(me) {
-            Some(region) => {
-                inner.run(region);
-                inner.stats.helped.inc();
-                true
+        current_member().is_some_and(|(inner, me)| inner.help(me))
+    }
+
+    /// Parks the calling thread on its parker, `parker`, until a wake or
+    /// `deadline`; `false` on timeout. A pool member first publishes itself
+    /// as `parked`, exactly as its idle run loop does, so a post that finds
+    /// no idle member wakes it to help.
+    pub(crate) fn park_current(parker: &WakeSignal, deadline: Option<Instant>) -> bool {
+        match current_member() {
+            Some((inner, me)) => {
+                debug_assert!(std::ptr::eq(parker, &*inner.slots[me].signal));
+                inner.park_member(me, deadline, false)
             }
-            None => false,
+            None => parker.park_deadline(deadline),
         }
     }
+}
+
+/// The pool the current thread is a member of, and its slot index.
+fn current_member() -> Option<(Arc<Inner>, usize)> {
+    let (weak, me) = CURRENT_WORKER
+        .with(|c| c.borrow().as_ref().map(|ctx| (ctx.inner.clone(), ctx.index)))?;
+    Some((weak.upgrade()?, me))
 }
 
 impl VirtualTarget for WorkerTarget {
@@ -816,17 +777,7 @@ impl VirtualTarget for WorkerTarget {
     }
 
     fn help_one(&self) -> bool {
-        let Some(me) = self.inner.member_index() else {
-            return false;
-        };
-        match self.inner.acquire(me) {
-            Some(region) => {
-                self.inner.run(region);
-                self.inner.stats.helped.inc();
-                true
-            }
-            None => false,
-        }
+        self.inner.member_index().is_some_and(|me| self.inner.help(me))
     }
 
     fn pending(&self) -> usize {
@@ -1036,56 +987,57 @@ mod tests {
         }
     }
 
+    /// One member is blocked in a handler, the other is parked in an await
+    /// with nothing to help with: a post must wake the awaiting member,
+    /// which runs it from inside its barrier.
     #[test]
-    fn registered_waker_notified_on_post_and_dropped_on_deregistration() {
-        let w = WorkerTarget::new("w", 1);
-        let signal = Arc::new(WakeSignal::new());
-
-        // Registration only works from a member thread.
-        assert!(WorkerTarget::register_current_waker(&signal).is_none());
-
-        let release = Arc::new(AtomicBool::new(false));
-        let s2 = Arc::clone(&signal);
-        let r2 = Arc::clone(&release);
-        let reg = TargetRegion::new("register", move || {
-            let guard = WorkerTarget::register_current_waker(&s2);
-            assert!(guard.is_some());
-            // Keep the guard alive until the main thread observed the wake.
-            while !r2.load(Ordering::SeqCst) {
+    fn member_parked_in_await_is_woken_by_a_post() {
+        let w = WorkerTarget::with_capacity("w", 2, 2);
+        let gate = Arc::new(AtomicBool::new(false));
+        let g2 = Arc::clone(&gate);
+        let busy = TargetRegion::new("busy", move || {
+            while !g2.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            drop(guard);
         });
-        let hr = reg.handle();
-        w.post(reg);
-        // Wait until the single pool thread is inside the region: it is
-        // busy (not parked), so the next post can only wake the registered
-        // barrier parker.
-        while hr.state() == TaskState::Pending {
+        let hb = busy.handle();
+        w.post(busy);
+        while hb.state() == TaskState::Pending {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let stuck = TargetRegion::new("stuck", || {});
+        let hs = stuck.handle();
+        let awaiting = TargetRegion::new("awaiting", move || {
+            assert!(crate::parker::await_until(&hs, None));
+        });
+        let ha = awaiting.handle();
+        w.post(awaiting);
+        while ha.state() == TaskState::Pending {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Both members are inside regions now: a `parked` flag can only be
+        // the await's.
+        let t0 = Instant::now();
+        while !w.inner.slots.iter().any(|s| s.parked.load(Ordering::SeqCst)) {
+            assert!(t0.elapsed() < Duration::from_secs(5), "the await never parked");
             std::thread::sleep(Duration::from_millis(1));
         }
 
         let probe = TargetRegion::new("probe", || {});
         let hp = probe.handle();
-        w.post(probe); // must notify the registered waker
-        assert!(
-            signal.park_until(Instant::now() + Duration::from_secs(5)),
-            "post must signal the registered pool waker"
-        );
-        release.store(true, Ordering::SeqCst);
-        hr.wait();
-        hp.wait();
-
-        // After the guard dropped, posts wake the (now idle) pool thread,
-        // never the deregistered barrier waker.
-        let quiet = TargetRegion::new("quiet", || {});
-        let hq = quiet.handle();
-        w.post(quiet);
-        hq.wait();
-        assert!(
-            !signal.park_until(Instant::now() + Duration::from_millis(20)),
-            "deregistered waker must stay silent"
-        );
+        w.post(probe);
+        let probe_ran = hp.wait_timeout(Duration::from_secs(5));
+        let both_held = !hb.is_finished() && !ha.is_finished();
+        // Release both members before asserting: a failed assertion must
+        // not leave the pool's drop joining a member that never returns.
+        gate.store(true, Ordering::SeqCst);
+        stuck.execute();
+        ha.wait();
+        hb.wait();
+        assert!(probe_ran, "a post must wake the member parked in its await");
+        assert!(both_held, "the probe ran while both members were held");
+        assert_eq!(w.stats().helped, 1, "the probe ran inside the await barrier");
     }
 
     #[test]
