@@ -56,7 +56,8 @@ impl<V: Send + 'static> Publisher<V> {
         if schedule {
             let pending = Arc::clone(&self.pending);
             let process = Arc::clone(&self.process);
-            self.edt.post(move || {
+            // A stopped EDT drops the drain, as `invokeLater` would.
+            let _ = self.edt.post(move || {
                 let chunk: Vec<V> = std::mem::take(&mut *pending.lock());
                 if !chunk.is_empty() {
                     process(chunk);
@@ -129,7 +130,7 @@ impl<T: Send + 'static, V: Send + 'static> SwingWorker<T, V> {
         pool.execute(move || {
             let result = background(&publisher);
             if let Some(done) = done {
-                edt.post(move || done(result));
+                let _ = edt.post(move || done(result));
             }
         });
     }

@@ -251,7 +251,7 @@ fn fire_event(
                 executor.execute(move || {
                     handle_event(workload, None, io);
                     // SwingUtilities.invokeLater for the GUI part.
-                    edt.post(finish);
+                    let _ = edt.post(finish);
                 });
             });
         }

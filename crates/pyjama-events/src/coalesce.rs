@@ -52,19 +52,23 @@ impl Coalescer {
         drop(pending);
 
         let pending_map = Arc::clone(&self.pending);
-        let key = key.to_string();
-        self.handle.post(move || {
+        let owned_key = key.to_string();
+        let posted = self.handle.post(move || {
             // Take the freshest handler and clear the key before running,
             // so a post from inside the handler re-enqueues.
             let job = {
                 let job = slot.lock().take();
-                pending_map.lock().remove(&key);
+                pending_map.lock().remove(&owned_key);
                 job
             };
             if let Some(job) = job {
                 job();
             }
         });
+        if posted.is_err() {
+            // The loop has shut down: no event will ever clear the key.
+            self.pending.lock().remove(key);
+        }
     }
 
     /// Number of keys with a queued (not yet dispatched) event.
@@ -146,12 +150,12 @@ mod tests {
         let o = Arc::clone(&order);
         c.post("progress", move || o.lock().push("stale"));
         let o = Arc::clone(&order);
-        h.post(move || o.lock().push("plain-1"));
+        h.post(move || o.lock().push("plain-1")).unwrap();
         // Replaces the queued "stale" payload; position stays first.
         let o = Arc::clone(&order);
         c.post("progress", move || o.lock().push("fresh"));
         let o = Arc::clone(&order);
-        h.post(move || o.lock().push("plain-2"));
+        h.post(move || o.lock().push("plain-2")).unwrap();
 
         el.run_until_idle();
         assert_eq!(*order.lock(), vec!["fresh", "plain-1", "plain-2"]);
@@ -173,13 +177,27 @@ mod tests {
             let p = Arc::clone(&plain);
             h.post(move || {
                 p.fetch_add(1, Ordering::SeqCst);
-            });
+            })
+            .unwrap();
         }
         el.run_until_idle();
         assert_eq!(last_a.load(Ordering::SeqCst), 10);
         assert_eq!(last_b.load(Ordering::SeqCst), 1000);
         assert_eq!(plain.load(Ordering::SeqCst), 10, "plain events never coalesce");
         assert_eq!(c.pending_keys(), 0);
+    }
+
+    #[test]
+    fn post_to_a_shut_down_loop_leaves_no_pending_key() {
+        let el = EventLoop::new("edt");
+        let c = Coalescer::new(el.handle());
+        el.handle().quit();
+        c.post("k", || {});
+        assert_eq!(
+            c.pending_keys(),
+            0,
+            "a rejected post must not strand its key"
+        );
     }
 
     #[test]

@@ -51,9 +51,10 @@ impl Edt {
         }
     }
 
-    /// Posts a handler to run on the EDT (SwingUtilities.invokeLater).
+    /// Posts a handler to run on the EDT (SwingUtilities.invokeLater). A
+    /// stopped EDT drops it.
     pub fn invoke_later(&self, f: impl FnOnce() + Send + 'static) {
-        self.handle.post(f);
+        let _ = self.handle.post(f);
     }
 
     /// Runs `f` on the EDT and blocks until it completes, returning its
@@ -73,7 +74,7 @@ impl Edt {
             *slot2.lock() = Some(r);
             waiter.notify();
         });
-        assert!(posted.is_some(), "invoke_and_wait on a stopped EDT");
+        assert!(posted.is_ok(), "invoke_and_wait on a stopped EDT");
         let result = loop {
             if let Some(r) = slot.lock().take() {
                 break r;
@@ -107,7 +108,7 @@ impl Edt {
     ///
     /// If called *on the EDT itself* (e.g. the owner was dropped inside a
     /// handler), the thread is detached instead of joined — a thread cannot
-    /// join itself; the loop still exits via the quit flag.
+    /// join itself; the loop still exits once the handler returns.
     pub fn shutdown(&mut self) {
         self.handle.quit();
         if let Some(t) = self.thread.take() {

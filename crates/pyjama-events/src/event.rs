@@ -1,24 +1,10 @@
 //! The unit of dispatch.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pyjama_trace::TraceId;
 
 use crate::inline::InlineFn;
-
-/// Globally unique identifier of a posted event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(pub u64);
-
-static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-
-impl EventId {
-    /// Allocates a fresh id.
-    pub fn next() -> Self {
-        EventId(NEXT_ID.fetch_add(1, Ordering::Relaxed))
-    }
-}
 
 /// Dispatch priority. Events of equal priority dispatch in FIFO order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -37,10 +23,9 @@ pub enum Priority {
 /// In an event-driven framework "the listener triggers the callback function
 /// implemented by programmers" (§II-A); an `Event` is that callback, queued.
 pub struct Event {
-    id: EventId,
     priority: Priority,
-    label: Option<String>,
-    fired_at: Instant,
+    /// Creation time; a delayed event's deadline once scheduled.
+    pub(crate) fired_at: Instant,
     trace: TraceId,
     handler: InlineFn,
 }
@@ -49,9 +34,7 @@ impl Event {
     /// Creates a normal-priority event from a handler.
     pub fn new(handler: impl FnOnce() + Send + 'static) -> Self {
         Event {
-            id: EventId::next(),
             priority: Priority::Normal,
-            label: None,
             fired_at: Instant::now(),
             trace: TraceId::mint(),
             handler: InlineFn::new(handler),
@@ -64,28 +47,13 @@ impl Event {
         self
     }
 
-    /// Attaches a human-readable label (builder style).
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
-        self
-    }
-
-    /// The event's unique id.
-    pub fn id(&self) -> EventId {
-        self.id
-    }
-
     /// The event's priority.
     pub fn priority(&self) -> Priority {
         self.priority
     }
 
-    /// The label, if any.
-    pub fn label(&self) -> Option<&str> {
-        self.label.as_deref()
-    }
-
-    /// When the event was created ("fired").
+    /// When the event was created ("fired"), or, for a delayed event, the
+    /// deadline it was scheduled for: its queueing latency counts from here.
     pub fn fired_at(&self) -> Instant {
         self.fired_at
     }
@@ -109,9 +77,7 @@ impl Event {
 impl std::fmt::Debug for Event {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Event")
-            .field("id", &self.id)
             .field("priority", &self.priority)
-            .field("label", &self.label)
             .finish_non_exhaustive()
     }
 }
@@ -119,15 +85,8 @@ impl std::fmt::Debug for Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn ids_are_unique_and_increasing() {
-        let a = EventId::next();
-        let b = EventId::next();
-        assert!(b > a);
-    }
 
     #[test]
     fn dispatch_runs_handler_once() {
@@ -140,11 +99,8 @@ mod tests {
 
     #[test]
     fn builder_sets_metadata() {
-        let e = Event::new(|| {})
-            .with_priority(Priority::High)
-            .with_label("click");
+        let e = Event::new(|| {}).with_priority(Priority::High);
         assert_eq!(e.priority(), Priority::High);
-        assert_eq!(e.label(), Some("click"));
     }
 
     #[test]

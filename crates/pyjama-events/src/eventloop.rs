@@ -1,21 +1,28 @@
 //! The dispatch loop, with re-entrant pumping.
 //!
-//! The thread running a loop installs its own parker as the queue's owner,
-//! so a post, a `quit` or a newly scheduled timer wakes it wherever it
-//! parks: idle in [`EventLoop::run`], or inside a handler's await barrier.
+//! A loop has one queue, ready events and timers under one lock
+//! (`queue.rs`), and one dispatch step (`Shared::step`):
+//! [`EventLoop::run`], [`EventLoop::run_until_idle`] and the re-entrant pump
+//! ([`crate::pump`]) all take their next event through it, so a due timer,
+//! a High event and a Normal one dispatch in the same order wherever the
+//! loop is driven from. Only `run` stops at `quit`; the other two still
+//! drain what is queued. `run` has one wait point: with nothing due it parks
+//! until the deadline the step returned. The thread running a loop installs
+//! its own parker as the queue's owner, so a post, a schedule or a `quit`
+//! wakes it wherever it parks: idle in `run`, or inside a handler's await
+//! barrier.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use pyjama_metrics::{LatencyRecorder, OccupancyTracker};
 use pyjama_trace::{arg as trace_arg, Stage};
 
-use crate::event::{Event, EventId, Priority};
+use crate::event::Event;
 use crate::parker::{self, WakeSignal};
-use crate::queue::EventQueue;
-use crate::timer::TimerQueue;
+use crate::queue::{EventQueue, Idle, Next};
 
 thread_local! {
     /// Stack of loops running on this thread (normally depth ≤ 1; re-entrant
@@ -30,39 +37,44 @@ pub struct LoopStats {
     pub dispatched: u64,
     /// Handlers that panicked (the loop survives, like AWT).
     pub panicked: u64,
-    /// Events dispatched re-entrantly via `pump_once` from inside a handler.
+    /// Events dispatched re-entrantly by a pump from inside a handler.
     pub reentrant: u64,
     /// Deepest observed dispatch nesting.
     pub max_depth: u32,
 }
 
+/// Who takes a dispatch step.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Driver {
+    /// [`EventLoop::run`], the one driver that stops at `quit`.
+    Run,
+    /// [`EventLoop::run_until_idle`].
+    UntilIdle,
+    /// A handler's re-entrant pump ([`crate::pump`]).
+    Pump,
+}
+
 pub(crate) struct Shared {
     name: String,
-    pub(crate) queue: EventQueue,
-    timers: TimerQueue,
-    quit: AtomicBool,
+    queue: EventQueue,
     dispatched: AtomicU64,
     panicked: AtomicU64,
     reentrant: AtomicU64,
     depth: AtomicU32,
     max_depth: AtomicU32,
-    occupancy: pyjama_sync::Mutex<Option<Arc<OccupancyTracker>>>,
-    queue_latency: pyjama_sync::Mutex<Option<Arc<LatencyRecorder>>>,
+    occupancy: OnceLock<Arc<OccupancyTracker>>,
+    queue_latency: OnceLock<Arc<LatencyRecorder>>,
 }
 
 impl Shared {
-    fn dispatch(self: &Arc<Self>, event: Event, reentrant: bool) {
-        if let Some(lat) = self.queue_latency.lock().clone() {
+    fn dispatch(&self, event: Event, reentrant: bool) {
+        if let Some(lat) = self.queue_latency.get() {
             lat.record(event.fired_at().elapsed());
         }
         let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.max_depth.fetch_max(depth, Ordering::Relaxed);
-        let occ = if depth == 1 {
-            self.occupancy.lock().clone()
-        } else {
-            None
-        };
-        if let Some(ref o) = occ {
+        let occ = self.occupancy.get().filter(|_| depth == 1);
+        if let Some(o) = occ {
             o.enter();
         }
         let trace = event.trace_id();
@@ -77,7 +89,7 @@ impl Shared {
                 trace_arg::END_OK
             },
         );
-        if let Some(ref o) = occ {
+        if let Some(o) = occ {
             o.exit();
         }
         self.depth.fetch_sub(1, Ordering::Relaxed);
@@ -90,19 +102,19 @@ impl Shared {
         }
     }
 
-    /// Dispatch one due-timer or queued event without blocking.
-    pub(crate) fn pump_once(self: &Arc<Self>, reentrant: bool) -> bool {
-        for e in self.timers.drain_due(Instant::now()) {
-            pyjama_trace::emit(e.trace_id(), Stage::TimerFired, 0);
-            self.queue.push(e.with_priority(Priority::High));
-        }
-        match self.queue.try_pop() {
-            Some(e) => {
-                self.dispatch(e, reentrant);
-                true
+    /// The one dispatch step: dispatches what [`EventQueue::next`] hands
+    /// out and returns `None`, or returns why there was nothing.
+    pub(crate) fn step(&self, driver: Driver) -> Option<Idle> {
+        let event = match self.queue.next(Instant::now(), driver == Driver::Run) {
+            Next::Timer(e) => {
+                pyjama_trace::emit(e.trace_id(), Stage::TimerFired, 0);
+                e
             }
-            None => false,
-        }
+            Next::Ready(e) => e,
+            Next::Idle(idle) => return Some(idle),
+        };
+        self.dispatch(event, driver == Driver::Pump);
+        None
     }
 
     fn stats(&self) -> LoopStats {
@@ -131,29 +143,28 @@ impl EventLoop {
             shared: Arc::new(Shared {
                 name: name.into(),
                 queue: EventQueue::new(),
-                timers: TimerQueue::new(),
-                quit: AtomicBool::new(false),
                 dispatched: AtomicU64::new(0),
                 panicked: AtomicU64::new(0),
                 reentrant: AtomicU64::new(0),
                 depth: AtomicU32::new(0),
                 max_depth: AtomicU32::new(0),
-                occupancy: pyjama_sync::Mutex::new(None),
-                queue_latency: pyjama_sync::Mutex::new(None),
+                occupancy: OnceLock::new(),
+                queue_latency: OnceLock::new(),
             }),
         }
     }
 
     /// Attaches an occupancy tracker: outermost handler dispatches are
-    /// recorded as busy time.
+    /// recorded as busy time. The first tracker attached stays.
     pub fn attach_occupancy(&self, occ: Arc<OccupancyTracker>) {
-        *self.shared.occupancy.lock() = Some(occ);
+        let _ = self.shared.occupancy.set(occ);
     }
 
-    /// Attaches a recorder of queueing latency (event fired → dispatch
-    /// start).
+    /// Attaches a recorder of queueing latency: from an event's creation,
+    /// or a delayed event's deadline, to its dispatch. The first recorder
+    /// attached stays.
     pub fn attach_queue_latency(&self, lat: Arc<LatencyRecorder>) {
-        *self.shared.queue_latency.lock() = Some(lat);
+        let _ = self.shared.queue_latency.set(lat);
     }
 
     /// Returns a clonable, `Send + Sync` handle for posting events.
@@ -172,36 +183,25 @@ impl EventLoop {
     /// the next timer deadline.
     pub fn run(self) {
         let running = Running::enter(&self.shared);
-        let shared = &self.shared;
-        while !shared.quit.load(Ordering::SeqCst) {
-            // Dispatch everything already due.
-            let due = shared.timers.drain_due(Instant::now());
-            let had_due = !due.is_empty();
-            for e in due {
-                pyjama_trace::emit(e.trace_id(), Stage::TimerFired, 0);
-                shared.dispatch(e, false);
+        loop {
+            match self.shared.step(Driver::Run) {
+                None => {}
+                // A post, a schedule or a quit after the step notifies the
+                // parker, so the park returns at once.
+                Some(Idle::Until(deadline)) => {
+                    running.parker.park_deadline(deadline);
+                }
+                Some(Idle::Closed) => break,
             }
-            if had_due {
-                continue; // re-check quit between batches
-            }
-            if let Some(e) = shared.queue.try_pop() {
-                shared.dispatch(e, false);
-                continue;
-            }
-            if shared.queue.is_closed() && shared.queue.is_empty() {
-                break;
-            }
-            // A post or close after the pop above notifies the parker, and
-            // a timer scheduled after this read does too (`post_delayed`).
-            running.parker.park_deadline(shared.timers.next_deadline());
         }
     }
 
     /// Processes queued events and *currently due* timers until none remain,
-    /// then returns. Useful in tests: no second thread needed.
+    /// then returns, also after a quit. Useful in tests: no second thread
+    /// needed.
     pub fn run_until_idle(&self) {
         let _running = Running::enter(&self.shared);
-        while self.shared.pump_once(false) {}
+        while self.shared.step(Driver::UntilIdle).is_none() {}
     }
 
     /// The loop's diagnostic name.
@@ -247,10 +247,7 @@ impl Drop for Running {
 /// (a recurring tick) would otherwise form.
 impl Drop for EventLoop {
     fn drop(&mut self) {
-        self.shared.queue.close();
-        self.shared.timers.close();
-        let mut queued = Vec::new();
-        self.shared.queue.try_pop_batch(usize::MAX, &mut queued);
+        self.shared.queue.clear();
     }
 }
 
@@ -261,36 +258,34 @@ pub struct EventLoopHandle {
 }
 
 impl EventLoopHandle {
-    /// Posts a handler as a normal-priority event. Returns its id, or `None`
-    /// if the loop has shut down.
-    pub fn post(&self, f: impl FnOnce() + Send + 'static) -> Option<EventId> {
+    /// Posts a handler as a normal-priority event. A loop that has shut
+    /// down hands the event back.
+    pub fn post(&self, f: impl FnOnce() + Send + 'static) -> Result<(), Event> {
         self.post_event(Event::new(f))
     }
 
-    /// Posts a pre-built event.
-    pub fn post_event(&self, event: Event) -> Option<EventId> {
-        let id = event.id();
+    /// Posts a pre-built event. A loop that has shut down hands it back.
+    pub fn post_event(&self, event: Event) -> Result<(), Event> {
         // Emit before the push so the posted timestamp causally precedes
         // any dispatch of the same event on the loop thread.
         pyjama_trace::emit(event.trace_id(), Stage::EventPosted, 0);
-        if self.shared.queue.push(event) {
-            Some(id)
-        } else {
-            None
-        }
+        self.shared.queue.push(event)
     }
 
-    /// Schedules a handler to run after `delay`.
+    /// Schedules a handler to run after `delay`. A loop that has shut down
+    /// drops it.
     pub fn post_delayed(&self, delay: Duration, f: impl FnOnce() + Send + 'static) {
-        self.shared.timers.schedule(delay, Event::new(f));
-        // Wake the loop thread so it re-reads its (possibly earlier) deadline.
-        self.shared.queue.wake_owner();
+        let _ = self
+            .shared
+            .queue
+            .schedule_at(Instant::now() + delay, Event::new(f));
     }
 
-    /// Requests the loop to stop after the current event; pending events are
-    /// discarded.
+    /// Requests the loop to stop after the current event and rejects later
+    /// posts. Pending events are discarded when the loop stops; until then a
+    /// handler that is still running can pump them, so an await whose block
+    /// waits on a round trip through this loop still finishes.
     pub fn quit(&self) {
-        self.shared.quit.store(true, Ordering::SeqCst);
         self.shared.queue.close();
     }
 
@@ -307,7 +302,7 @@ impl EventLoopHandle {
     /// loop thread bounds its sleep by this: a timer falling due is the one
     /// wake nothing notifies.
     pub fn next_timer_deadline(&self) -> Option<Instant> {
-        self.shared.timers.next_deadline()
+        self.shared.queue.next_deadline()
     }
 
     /// Number of queued (not yet dispatched) events.
@@ -346,7 +341,9 @@ pub(crate) fn handle_from_shared(shared: Arc<Shared>) -> EventLoopHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Priority;
     use pyjama_sync::Mutex;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn run_until_idle_dispatches_everything() {
@@ -355,7 +352,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3 {
             let log = Arc::clone(&log);
-            h.post(move || log.lock().push(i));
+            h.post(move || log.lock().push(i)).unwrap();
         }
         el.run_until_idle();
         assert_eq!(*log.lock(), vec![0, 1, 2]);
@@ -369,13 +366,13 @@ mod tests {
         let t = std::thread::spawn(move || el.run());
         let done = Arc::new(AtomicBool::new(false));
         let d = Arc::clone(&done);
-        h.post(move || d.store(true, Ordering::SeqCst));
+        h.post(move || d.store(true, Ordering::SeqCst)).unwrap();
         while !done.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(1));
         }
         h.quit();
         t.join().unwrap();
-        assert!(h.post(|| {}).is_none(), "posting after quit is rejected");
+        assert!(h.post(|| {}).is_err(), "posting after quit is rejected");
     }
 
     #[test]
@@ -430,7 +427,7 @@ mod tests {
         for _ in 0..3 {
             std::thread::sleep(Duration::from_millis(10)); // parked by now
             let (tx, rx) = std::sync::mpsc::channel();
-            h.post(move || tx.send(()).unwrap());
+            h.post(move || tx.send(()).unwrap()).unwrap();
             rx.recv_timeout(Duration::from_secs(5))
                 .expect("a post must wake the parked loop thread");
         }
@@ -445,10 +442,10 @@ mod tests {
     fn handler_panic_does_not_kill_loop() {
         let el = EventLoop::new("edt");
         let h = el.handle();
-        h.post(|| panic!("handler bug"));
+        h.post(|| panic!("handler bug")).unwrap();
         let ok = Arc::new(AtomicBool::new(false));
         let ok2 = Arc::clone(&ok);
-        h.post(move || ok2.store(true, Ordering::SeqCst));
+        h.post(move || ok2.store(true, Ordering::SeqCst)).unwrap();
         el.run_until_idle();
         assert!(ok.load(Ordering::SeqCst));
         let stats = h.stats();
@@ -464,7 +461,8 @@ mod tests {
         let observed = Arc::new(AtomicBool::new(false));
         let o = Arc::clone(&observed);
         let h2 = h.clone();
-        h.post(move || o.store(h2.is_loop_thread(), Ordering::SeqCst));
+        h.post(move || o.store(h2.is_loop_thread(), Ordering::SeqCst))
+            .unwrap();
         el.run_until_idle();
         assert!(observed.load(Ordering::SeqCst));
     }
@@ -475,7 +473,8 @@ mod tests {
         let occ = Arc::new(OccupancyTracker::new());
         el.attach_occupancy(Arc::clone(&occ));
         let h = el.handle();
-        h.post(|| std::thread::sleep(Duration::from_millis(5)));
+        h.post(|| std::thread::sleep(Duration::from_millis(5)))
+            .unwrap();
         el.run_until_idle();
         assert!(occ.busy() >= Duration::from_millis(5));
         assert_eq!(occ.intervals(), 1);
@@ -487,11 +486,81 @@ mod tests {
         let lat = Arc::new(LatencyRecorder::new());
         el.attach_queue_latency(Arc::clone(&lat));
         let h = el.handle();
-        h.post(|| {});
+        h.post(|| {}).unwrap();
         std::thread::sleep(Duration::from_millis(5));
         el.run_until_idle();
         assert_eq!(lat.count(), 1);
         assert!(lat.max() >= Duration::from_millis(5));
+    }
+
+    /// A delayed event's latency counts from its deadline: the delay it
+    /// asked for is not time spent queueing. Bounded by the time measured
+    /// around the run, so a late wake-up of the sleep cannot fail it.
+    #[test]
+    fn timer_queue_latency_counts_from_its_deadline() {
+        let el = EventLoop::new("edt");
+        let lat = Arc::new(LatencyRecorder::new());
+        el.attach_queue_latency(Arc::clone(&lat));
+        let delay = Duration::from_millis(50);
+        let t0 = Instant::now();
+        el.handle().post_delayed(delay, || {});
+        std::thread::sleep(delay + Duration::from_millis(10));
+        el.run_until_idle();
+        let bound = t0.elapsed() - delay + Duration::from_millis(1);
+        assert_eq!(lat.count(), 1);
+        assert!(
+            lat.max() <= bound,
+            "recorded {:?} for a {delay:?} timer, at most {bound:?} was queueing",
+            lat.max()
+        );
+    }
+
+    /// `run` and `run_until_idle` dispatch through one step, so a due timer
+    /// and an already-queued High event run in the same order under both:
+    /// the timer first.
+    #[test]
+    fn due_timer_precedes_queued_high_event_under_run_and_run_until_idle() {
+        for use_run in [false, true] {
+            let el = EventLoop::new("edt");
+            let h = el.handle();
+            let order = Arc::new(Mutex::new(Vec::new()));
+            let o = Arc::clone(&order);
+            h.post_delayed(Duration::ZERO, move || o.lock().push("timer"));
+            let o = Arc::clone(&order);
+            let high = Event::new(move || o.lock().push("high"));
+            h.post_event(high.with_priority(Priority::High)).unwrap();
+            if use_run {
+                let hq = h.clone();
+                h.post_event(Event::new(move || hq.quit()).with_priority(Priority::Low))
+                    .unwrap();
+                el.run();
+            } else {
+                el.run_until_idle();
+            }
+            assert_eq!(*order.lock(), vec!["timer", "high"], "under run: {use_run}");
+        }
+    }
+
+    /// After `quit` a handler's pump still dispatches what is queued; only
+    /// `run` stops, and discards the rest.
+    #[test]
+    fn pump_drains_a_quit_loop_but_run_stops() {
+        let el = EventLoop::new("edt");
+        let h = el.handle();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (hq, l) = (h.clone(), Arc::clone(&log));
+        h.post(move || {
+            hq.quit();
+            let pumped = crate::pump::try_pump_current();
+            l.lock().push(("pumped", pumped));
+        })
+        .unwrap();
+        for tag in ["a", "b"] {
+            let l = Arc::clone(&log);
+            h.post(move || l.lock().push((tag, true))).unwrap();
+        }
+        el.run();
+        assert_eq!(*log.lock(), vec![("a", true), ("pumped", true)]);
     }
 
     #[test]
@@ -500,9 +569,9 @@ mod tests {
         let h = el.handle();
         let ran = Arc::new(AtomicBool::new(false));
         let h2 = h.clone();
-        h.post(move || h2.quit());
+        h.post(move || h2.quit()).unwrap();
         let r = Arc::clone(&ran);
-        h.post(move || r.store(true, Ordering::SeqCst));
+        h.post(move || r.store(true, Ordering::SeqCst)).unwrap();
         let t = std::thread::spawn(move || el.run());
         t.join().unwrap();
         assert!(!ran.load(Ordering::SeqCst));

@@ -7,18 +7,20 @@
 //! * [`Event`] — a unit of dispatch: a handler (stored inline via
 //!   [`InlineFn`] when its captures are small) plus priority and
 //!   correlation metadata.
-//! * [`EventQueue`] — the priority-ordered queue behind a loop; it wakes
-//!   the thread running the loop on every post.
-//! * [`EventLoop`] — the dispatch loop itself, with the one non-standard
-//!   capability the paper's `await` mode requires: **re-entrant pumping**.
-//!   Pyjama "achieves this by slightly modifying the event queue dispatching
-//!   mechanism in the Java AWT runtime library" (§IV-B); here the analogous
-//!   hook is [`EventLoop`]'s `pump_once`, reachable from inside a handler
-//!   through [`pump::try_pump_current`].
+//! * [`EventLoop`] — the dispatch loop. It has one queue, a FIFO lane per
+//!   [`Priority`] and the timer heap under one lock, and one dispatch step
+//!   that takes a due timer first, then the oldest event of the highest
+//!   lane. `run`, `run_until_idle` and the one non-standard capability the
+//!   paper's `await` mode requires, **re-entrant pumping**, all dispatch
+//!   through that step. Pyjama "achieves this by slightly modifying the
+//!   event queue dispatching mechanism in the Java AWT runtime library"
+//!   (§IV-B); here the analogous hook is [`pump::try_pump_current`],
+//!   callable from inside a handler.
 //! * [`Edt`] — a dedicated dispatch thread owning an event loop, with
 //!   `invoke_later` / `invoke_and_wait` in the style of
 //!   `SwingUtilities`.
-//! * [`timer`] — delayed event scheduling.
+//! * [`recurring`] — `javax.swing.Timer`-style periodic events on top of
+//!   the loop's delayed posts.
 //! * [`parker`] — one parker per thread: every wait in the runtime parks on
 //!   the waiting thread's own [`WakeSignal`], and every wake source
 //!   notifies it.
@@ -33,16 +35,13 @@ pub mod eventloop;
 pub mod inline;
 pub mod parker;
 pub mod pump;
-pub mod queue;
+mod queue;
 pub mod recurring;
-pub mod timer;
 
 pub use coalesce::Coalescer;
 pub use edt::Edt;
-pub use event::{Event, EventId, Priority};
+pub use event::{Event, Priority};
 pub use inline::InlineFn;
 pub use eventloop::{EventLoop, EventLoopHandle, LoopStats};
 pub use parker::WakeSignal;
-pub use queue::EventQueue;
 pub use recurring::IntervalHandle;
-pub use timer::TimerQueue;

@@ -5,11 +5,11 @@
 //! a pool worker idle on its pool, a thread joining a task handle, a caller
 //! of [`Edt::invoke_and_wait`](crate::Edt::invoke_and_wait). Each parks on
 //! the calling thread's [`WakeSignal`] ([`current`]), and each wake source
-//! notifies the parkers of the threads that wait on it: an
-//! [`EventQueue`](crate::EventQueue) its loop thread's, on every push and on
-//! close; a task handle those on its waiter list, at its terminal
-//! transition; a worker pool one member published as `parked` (the pool
-//! slot owns the member's parker, see [`adopt`]).
+//! notifies the parkers of the threads that wait on it: an event loop's
+//! queue its loop thread's, on every post, schedule and quit; a task handle
+//! those on its waiter list, at its terminal transition; a worker pool one
+//! member published as `parked` (the pool slot owns the member's parker,
+//! see [`adopt`]).
 //!
 //! **Why a shared permit loses no wake.** `notify` stores a permit that a
 //! later `park` consumes without blocking, so a wake landing between

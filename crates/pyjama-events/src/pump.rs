@@ -12,23 +12,28 @@
 //! slightly modifying the event queue dispatching mechanism in the Java AWT
 //! runtime library". Our event loop exposes the same capability directly:
 //! from inside a handler, [`try_pump_current`] dispatches one other pending
-//! event on the same loop, re-entrantly.
+//! event on the same loop, re-entrantly. It takes the same dispatch step as
+//! the loop's own `run`, so a due timer, a High event and a Normal one
+//! dispatch in the same order whether the loop or an await drives it. It
+//! keeps dispatching what is queued after the loop has quit: a handler
+//! awaiting a block that waits on a round trip through this loop must still
+//! finish, or the loop could never stop.
 //!
 //! When the loop has *nothing* pending, the barrier does not poll this
 //! function: it parks on the thread's own parker, which the loop's queue
-//! notifies on every post (the thread running a loop is the queue's owner,
-//! see [`crate::parker`]). One `try_pump_current` call then dispatches the
-//! newly arrived event. The barrier bounds that park by the loop's next
-//! timer deadline, read through [`current_handle`].
+//! notifies on every post, schedule and quit (the thread running a loop is
+//! the queue's owner, see [`crate::parker`]). One `try_pump_current` call
+//! then dispatches the newly arrived event. The barrier bounds that park by
+//! the loop's next timer deadline, read through [`current_handle`].
 
-use crate::eventloop::{current_shared, handle_from_shared, EventLoopHandle};
+use crate::eventloop::{current_shared, handle_from_shared, Driver, EventLoopHandle};
 
 /// If the current thread is running an [`crate::EventLoop`], dispatch one
 /// pending event (or due timer) re-entrantly and return `true`. Returns
 /// `false` when not on a loop thread or when nothing is pending.
 pub fn try_pump_current() -> bool {
     match current_shared() {
-        Some(shared) => shared.pump_once(true),
+        Some(shared) => shared.step(Driver::Pump).is_none(),
         None => false,
     }
 }
@@ -71,9 +76,10 @@ mod tests {
             o1.lock().push("first:start");
             while try_pump_current() {}
             o1.lock().push("first:end");
-        });
+        })
+        .unwrap();
         let o2 = Arc::clone(&order);
-        h.post(move || o2.lock().push("second"));
+        h.post(move || o2.lock().push("second")).unwrap();
 
         el.run_until_idle();
         assert_eq!(
@@ -94,8 +100,9 @@ mod tests {
         h.post(move || {
             let me = current_handle().expect("inside a handler");
             let r = Arc::clone(&r);
-            me.post(move || r.store(true, Ordering::SeqCst));
-        });
+            me.post(move || r.store(true, Ordering::SeqCst)).unwrap();
+        })
+        .unwrap();
         el.run_until_idle();
         assert!(ran.load(Ordering::SeqCst));
     }
@@ -106,7 +113,8 @@ mod tests {
         let h = el.handle();
         let seen = Arc::new(AtomicBool::new(false));
         let s = Arc::clone(&seen);
-        h.post(move || s.store(is_event_loop_thread(), Ordering::SeqCst));
+        h.post(move || s.store(is_event_loop_thread(), Ordering::SeqCst))
+            .unwrap();
         el.run_until_idle();
         assert!(seen.load(Ordering::SeqCst));
     }

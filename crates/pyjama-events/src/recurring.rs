@@ -221,8 +221,8 @@ mod tests {
         drop(el);
         assert_eq!(drops.load(Ordering::SeqCst), 2, "callback leaked with its loop");
 
-        // A tick already moved to the event queue when the loop quits: a
-        // re-entrant pump moves both due ticks there and dispatches one.
+        // Due ticks still queued when the loop quits: a re-entrant pump
+        // dispatches one of the two, which re-arms itself.
         let el = crate::eventloop::EventLoop::new("quit-with-queued-tick");
         let h = el.handle();
         for _ in 0..2 {
@@ -238,7 +238,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
             p.store(crate::pump::try_pump_current(), Ordering::SeqCst);
             hq.quit();
-        });
+        })
+        .unwrap();
         el.run();
         assert!(pumped.load(Ordering::SeqCst), "no due tick was pumped");
         assert_eq!(drops.load(Ordering::SeqCst), 4, "queued tick leaked with its loop");

@@ -364,9 +364,10 @@ mod tests {
                 o_in.lock().push("offloaded-block");
             });
             o1.lock().push("handler1:continuation");
-        });
+        })
+        .unwrap();
         let o2 = Arc::clone(&order);
-        h.post(move || o2.lock().push("handler2"));
+        h.post(move || o2.lock().push("handler2")).unwrap();
 
         el.run_until_idle();
 
@@ -450,7 +451,8 @@ mod tests {
                 d_in.fetch_add(1, Ordering::SeqCst);
             });
             d1.fetch_add(1, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
         let rt2 = Arc::clone(&rt);
         let d2 = Arc::clone(&done);
         h.post(move || {
@@ -462,7 +464,8 @@ mod tests {
                 }
             });
             d2.fetch_add(1, Ordering::SeqCst);
-        });
+        })
+        .unwrap();
 
         el.run_until_idle();
         assert_eq!(done.load(Ordering::SeqCst), 4);

@@ -19,7 +19,7 @@ use crate::task::TargetRegion;
 pub struct EdtTarget {
     name: String,
     handle: EventLoopHandle,
-    stats: TargetCounters,
+    stats: Arc<TargetCounters>,
 }
 
 impl EdtTarget {
@@ -28,7 +28,7 @@ impl EdtTarget {
         Arc::new(EdtTarget {
             name: name.into(),
             handle,
-            stats: TargetCounters::default(),
+            stats: Arc::default(),
         })
     }
 
@@ -49,24 +49,20 @@ impl VirtualTarget for EdtTarget {
 
     fn post(&self, region: Arc<TargetRegion>) {
         self.stats.posted.inc();
-        let posted = self.handle.post({
-            let region = Arc::clone(&region);
-            move || {
-                region.execute();
-                // Offer the region back to the recycler. Best effort: if
-                // the poster's clone is still in flight the region just
-                // drops normally.
-                crate::slab::release(region);
-            }
-        });
-        if posted.is_none() {
-            // The loop has shut down; a block that can never run must not
-            // deadlock waiters. Execute inline as a last resort — the data
-            // context is shared either way; only thread affinity is lost.
+        let stats = Arc::clone(&self.stats);
+        let run = move || {
+            // Counted before running: a waiter released by the region's
+            // completion must never observe a snapshot missing it.
+            stats.executed.inc();
             region.execute();
             crate::slab::release(region);
-        } else {
-            self.stats.executed.inc();
+        };
+        if let Err(event) = self.handle.post(run) {
+            // The loop has shut down; a block that can never run must not
+            // deadlock waiters. Dispatch it inline as a last resort — the
+            // data context is shared either way; only thread affinity is
+            // lost.
+            event.dispatch();
         }
     }
 
@@ -125,6 +121,7 @@ mod tests {
         h.wait();
         assert!(ran_on_loop.load(Ordering::SeqCst));
         assert_eq!(target.stats().posted, 1);
+        assert_eq!(target.stats().executed, 1, "counted when it ran");
     }
 
     #[test]

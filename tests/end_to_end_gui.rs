@@ -1,7 +1,7 @@
 //! Integration: the full GUI stack (gui + events + runtime + kernels +
 //! baselines), exercising the responsiveness claims of §V-A.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -174,4 +174,76 @@ fn occupancy_distinguishes_foreground_from_background() {
         bg < fg,
         "offloaded busy fraction {bg:.3} must be below sequential {fg:.3}"
     );
+}
+
+/// Spins until `flag` is set; panics after 10 s so a stuck run fails.
+fn wait_for(flag: &AtomicBool, what: &str) {
+    let t0 = Instant::now();
+    while !flag.load(Ordering::SeqCst) {
+        assert!(t0.elapsed() < Duration::from_secs(10), "{what} never happened");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// An EDT handler awaits a worker block that waits on a round trip back
+/// to the EDT (the Figure 6 pattern, with `await` instead of `nowait`), and
+/// another thread quits the EDT while that round trip is queued. The
+/// handler's await still dispatches it, so the handler, the block and
+/// `shutdown` all finish.
+#[test]
+fn quit_while_an_awaited_round_trip_is_queued_still_finishes() {
+    let gui = Gui::launch(ConfinementPolicy::Enforce);
+    let rt = Arc::new(Runtime::new());
+    rt.virtual_target_register_edt("edt", gui.edt_handle()).unwrap();
+    rt.virtual_target_create_worker("worker", 1);
+    let edt = gui.edt_handle();
+
+    let blocker_running = Arc::new(AtomicBool::new(false));
+    let release_blocker = Arc::new(AtomicBool::new(false));
+    let round_trip_ran = Arc::new(AtomicBool::new(false));
+    let (handler_done, handler_done_rx) = std::sync::mpsc::channel();
+    {
+        let rt = Arc::clone(&rt);
+        let edt2 = edt.clone();
+        let (running, release) = (Arc::clone(&blocker_running), Arc::clone(&release_blocker));
+        let ran = Arc::clone(&round_trip_ran);
+        edt.post(move || {
+            let rt2 = Arc::clone(&rt);
+            rt.target("worker", Mode::Await, move || {
+                // Keep the EDT busy inside the handler's await until the
+                // round trip below is queued and the loop has quit.
+                let r = Arc::clone(&running);
+                edt2.post(move || {
+                    r.store(true, Ordering::SeqCst);
+                    wait_for(&release, "release of the blocker");
+                })
+                .unwrap();
+                wait_for(&running, "the blocker");
+                rt2.target("edt", Mode::Wait, move || ran.store(true, Ordering::SeqCst));
+            });
+            handler_done.send(()).unwrap();
+        })
+        .unwrap();
+    }
+    wait_for(&blocker_running, "the blocker");
+    let t0 = Instant::now();
+    while edt.pending() == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "round trip never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    edt.quit();
+    release_blocker.store(true, Ordering::SeqCst);
+
+    let (shut, shut_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        gui.shutdown();
+        shut.send(()).unwrap();
+    });
+    handler_done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the awaiting handler never finished");
+    assert!(round_trip_ran.load(Ordering::SeqCst));
+    shut_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown never joined the EDT");
 }

@@ -31,7 +31,8 @@ fn event_loop_sustains_mixed_priorities_and_timers() {
                 d.fetch_add(1, Ordering::Relaxed);
             })
             .with_priority(prio),
-        );
+        )
+        .unwrap();
     }
     for i in 0..TIMERS {
         let d = Arc::clone(&dispatched);

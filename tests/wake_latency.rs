@@ -30,7 +30,8 @@ fn event_posted_during_await_is_dispatched_by_wakeup() {
             entered_tx.send(()).unwrap();
             let _ = gate_rx.recv();
         });
-    });
+    })
+    .unwrap();
     entered_rx.recv().unwrap();
 
     // Take the minimum over a batch of probes so one unlucky scheduling
@@ -44,7 +45,8 @@ fn event_posted_during_await_is_dispatched_by_wakeup() {
         let t0 = Instant::now();
         h.post(move || {
             let _ = ack_tx.send(Instant::now());
-        });
+        })
+        .unwrap();
         let dispatched_at = ack_rx.recv().unwrap();
         best = best.min(dispatched_at.duration_since(t0));
     }
