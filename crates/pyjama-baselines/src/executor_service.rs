@@ -120,7 +120,12 @@ impl ExecutorService {
     /// `shutdown()` + `awaitTermination`: runs remaining jobs, joins all
     /// threads. Idempotent.
     pub fn shutdown(&self) {
+        // Stored under the queue lock: a pool thread checks the flag and
+        // enters `cond.wait` in one hold of that lock, so the notify below
+        // cannot fall between its check and its wait.
+        let q = self.inner.queue.lock();
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        drop(q);
         self.inner.cond.notify_all();
         for t in self.threads.lock().drain(..) {
             let _ = t.join();

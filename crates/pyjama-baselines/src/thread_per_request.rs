@@ -8,12 +8,15 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use pyjama_events::Latch;
 
 /// Spawns one thread per offloaded handler and counts them.
 #[derive(Default)]
 pub struct ThreadPerRequest {
     spawned: AtomicU64,
-    live: Arc<AtomicU64>,
+    live: Arc<Latch>,
 }
 
 impl ThreadPerRequest {
@@ -26,16 +29,9 @@ impl ThreadPerRequest {
     /// pattern — completion is the handler's own business).
     pub fn offload(&self, f: impl FnOnce() + Send + 'static) {
         self.spawned.fetch_add(1, Ordering::Relaxed);
-        let live = Arc::clone(&self.live);
-        live.fetch_add(1, Ordering::SeqCst);
+        let entry = self.live.enter();
         std::thread::spawn(move || {
-            struct Guard(Arc<AtomicU64>);
-            impl Drop for Guard {
-                fn drop(&mut self) {
-                    self.0.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            let _g = Guard(live);
+            let _entry = entry;
             f();
         });
     }
@@ -47,19 +43,12 @@ impl ThreadPerRequest {
 
     /// Threads currently running handlers.
     pub fn live(&self) -> u64 {
-        self.live.load(Ordering::SeqCst)
+        self.live.outstanding() as u64
     }
 
-    /// Spin-waits (bounded) until all spawned handlers have finished.
-    pub fn wait_idle(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        while self.live() > 0 {
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        true
+    /// Parks until all spawned handlers have finished, or `timeout` passes.
+    pub fn wait_idle(&self, timeout: Duration) -> bool {
+        self.live.wait_idle(Some(Instant::now() + timeout))
     }
 }
 

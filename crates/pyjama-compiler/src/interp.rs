@@ -12,12 +12,11 @@
 //! directive does not exist" (§III-B).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pyjama_sync::Mutex;
-use pyjama_events::Edt;
+use pyjama_events::{Edt, Latch};
 use pyjama_omp::{Ctx, Schedule};
 use pyjama_runtime::directive::TargetProperty;
 use pyjama_runtime::{Mode, Runtime};
@@ -251,12 +250,19 @@ pub struct RunOutput {
 
 struct Core {
     program: Arc<Program>,
-    rt: Arc<Runtime>,
+    run: RunState,
+}
+
+/// One run's state, the same for both engines: the runtime its directives
+/// dispatch through, captured output and block errors, and the latch its
+/// in-flight `nowait`/`name_as` blocks hold so the run can quiesce.
+pub(crate) struct RunState {
+    pub(crate) rt: Arc<Runtime>,
     output: Mutex<Vec<String>>,
     errors: Mutex<Vec<String>>,
-    outstanding: AtomicUsize,
+    outstanding: Arc<Latch>,
     epoch: Instant,
-    ignore_directives: bool,
+    pub(crate) ignore: bool,
 }
 
 /// The PJ interpreter.
@@ -279,100 +285,156 @@ impl Interpreter {
     }
 
     fn run_interp(&self, config: &ExecConfig) -> Result<RunOutput, CompileError> {
-        let (rt, edt) = setup_runtime(config)?;
-
-        let core = Arc::new(Core {
-            program: Arc::clone(&self.program),
-            rt: Arc::clone(&rt),
-            output: Mutex::new(Vec::new()),
-            errors: Mutex::new(Vec::new()),
-            outstanding: AtomicUsize::new(0),
-            epoch: Instant::now(),
-            ignore_directives: config.ignore_directives,
-        });
-
+        let (run, edt) = RunState::start(config)?;
+        let core = Arc::new(Core { program: Arc::clone(&self.program), run });
         let main = self
             .program
             .function("main")
             .ok_or_else(|| rt_err("no `main` function"))?;
         let result = call_function(&core, main, Vec::new(), None)?;
+        core.run.finish(edt, config, &result)
+    }
+}
 
-        let target_posts = finish_run(&rt, edt, &core.outstanding, config.quiesce_timeout)?;
+impl RunState {
+    /// Builds the virtual-target substrate both engines run on: the default
+    /// `worker` pool, extra named pools, simulated devices, and the EDT.
+    pub(crate) fn start(config: &ExecConfig) -> Result<(RunState, Option<Edt>), CompileError> {
+        let rt = Arc::new(Runtime::new());
+        rt.virtual_target_create_worker("worker", config.worker_threads.max(1));
+        for (name, m) in &config.extra_workers {
+            rt.virtual_target_create_worker(name.clone(), (*m).max(1));
+        }
+        for &n in &config.devices {
+            let device = pyjama_runtime::SimulatedDevice::new(n, Duration::ZERO);
+            let target = pyjama_runtime::DeviceTarget::new(device);
+            rt.register(
+                format!("device:{n}"),
+                target as Arc<dyn pyjama_runtime::VirtualTarget>,
+            )
+            .map_err(|e| rt_err(e.to_string()))?;
+        }
+        let edt = if config.with_edt {
+            let edt = Edt::spawn("pj-edt");
+            rt.virtual_target_register_edt("edt", edt.handle())
+                .map_err(|e| rt_err(e.to_string()))?;
+            Some(edt)
+        } else {
+            None
+        };
+        let run = RunState {
+            rt,
+            output: Mutex::default(),
+            errors: Mutex::default(),
+            outstanding: Arc::default(),
+            epoch: Instant::now(),
+            ignore: config.ignore_directives,
+        };
+        Ok((run, edt))
+    }
 
-        let errors = core.errors.lock().clone();
+    /// Quiesces `nowait` blocks, shuts the EDT down, tears the runtime down
+    /// and assembles the output (a recorded block error fails the run);
+    /// `target_posts` is read *before* `clear()` drops the targets.
+    pub(crate) fn finish(
+        &self,
+        edt: Option<Edt>,
+        config: &ExecConfig,
+        result: &Value,
+    ) -> Result<RunOutput, CompileError> {
+        // Quiesce: nowait blocks may still be in flight, and may post more
+        // before they finish; the latch drains only when all have.
+        if !self.outstanding.wait_idle(Some(Instant::now() + config.quiesce_timeout)) {
+            return Err(rt_err("timed out waiting for outstanding target blocks"));
+        }
+        if let Some(mut edt) = edt {
+            edt.shutdown();
+        }
+        let rt = &self.rt;
+        let target_posts = rt
+            .target_names()
+            .iter()
+            .filter_map(|n| rt.lookup(n).ok())
+            .map(|t| {
+                let s = t.stats();
+                s.posted + s.inline
+            })
+            .sum();
+        rt.clear();
+        let errors = self.errors.lock().clone();
         if !errors.is_empty() {
             return Err(rt_err(errors.join("; ")));
         }
-        let output = core.output.lock().clone();
         Ok(RunOutput {
-            output,
+            output: self.output.lock().clone(),
             result: result.display(),
             target_posts,
         })
     }
-}
 
-/// Builds the virtual-target substrate both engines run on: the default
-/// `worker` pool, extra named pools, simulated devices, and the EDT.
-pub(crate) fn setup_runtime(
-    config: &ExecConfig,
-) -> Result<(Arc<Runtime>, Option<Edt>), CompileError> {
-    let rt = Arc::new(Runtime::new());
-    rt.virtual_target_create_worker("worker", config.worker_threads.max(1));
-    for (name, m) in &config.extra_workers {
-        rt.virtual_target_create_worker(name.clone(), (*m).max(1));
+    /// Offloads a target block to the target its target-property clause
+    /// names, under `mode`. A `nowait`/`name_as` block holds an entry of the
+    /// quiesce latch until it finishes, or drops unrun.
+    pub(crate) fn post_target(
+        &self,
+        target: &TargetProperty,
+        mode: Mode,
+        block: impl FnOnce() + Send + 'static,
+    ) -> Result<(), CompileError> {
+        let rt = &self.rt;
+        let name = match target {
+            TargetProperty::Virtual(name) => name.clone(),
+            TargetProperty::Default => rt
+                .default_target()
+                .ok_or_else(|| rt_err("no default virtual target registered"))?,
+            // Dispatch to a registered simulated accelerator, else fall back to
+            // the host pool (documented substitution).
+            TargetProperty::Device(n) => {
+                let name = format!("device:{n}");
+                if rt.has_target(&name) {
+                    name
+                } else {
+                    "worker".to_string()
+                }
+            }
+        };
+        let posted = match mode {
+            Mode::NoWait | Mode::NameAs(_) => {
+                let entry = self.outstanding.enter();
+                rt.try_target(&name, mode, move || {
+                    block();
+                    drop(entry);
+                })
+            }
+            Mode::Wait | Mode::Await => rt.try_target(&name, mode, block),
+        };
+        posted.map(drop).map_err(|e| rt_err(e.to_string()))
     }
-    for &n in &config.devices {
-        let device = pyjama_runtime::SimulatedDevice::new(n, Duration::ZERO);
-        let target = pyjama_runtime::DeviceTarget::new(device);
-        rt.register(
-            format!("device:{n}"),
-            target as Arc<dyn pyjama_runtime::VirtualTarget>,
-        )
-        .map_err(|e| rt_err(e.to_string()))?;
-    }
-    let edt = if config.with_edt {
-        let edt = Edt::spawn("pj-edt");
-        rt.virtual_target_register_edt("edt", edt.handle())
-            .map_err(|e| rt_err(e.to_string()))?;
-        Some(edt)
-    } else {
-        None
-    };
-    Ok((rt, edt))
-}
 
-/// Quiesces `nowait` blocks, shuts the EDT down, and tears the runtime
-/// down. Returns the total target dispatches (posted + inline) the run's
-/// `Runtime` observed — collected *before* `clear()` drops the targets.
-pub(crate) fn finish_run(
-    rt: &Arc<Runtime>,
-    edt: Option<Edt>,
-    outstanding: &AtomicUsize,
-    quiesce_timeout: Duration,
-) -> Result<u64, CompileError> {
-    // Quiesce: nowait blocks may still be in flight.
-    let deadline = Instant::now() + quiesce_timeout;
-    while outstanding.load(Ordering::SeqCst) > 0 {
-        if Instant::now() >= deadline {
-            return Err(rt_err("timed out waiting for outstanding target blocks"));
+    /// Records an offloaded block's error (it has no caller to return it
+    /// to); `finish` fails the run with it.
+    pub(crate) fn record<T>(&self, result: Result<T, CompileError>) {
+        if let Err(e) = result {
+            self.errors.lock().push(e.to_string());
         }
-        std::thread::sleep(Duration::from_millis(1));
     }
-    if let Some(mut edt) = edt {
-        edt.shutdown();
+
+    /// The builtins' view of the run: its output and its clock.
+    pub(crate) fn host(&self) -> crate::builtins::Host<'_> {
+        crate::builtins::Host {
+            output: &self.output,
+            epoch: self.epoch,
+        }
     }
-    let target_posts = rt
-        .target_names()
-        .iter()
-        .filter_map(|n| rt.lookup(n).ok())
-        .map(|t| {
-            let s = t.stats();
-            s.posted + s.inline
-        })
-        .sum();
-    rt.clear();
-    Ok(target_posts)
+}
+
+/// The omp schedule of a `parallel for` clause (chunks of at least 1).
+pub(crate) fn omp_schedule(schedule: &LoopSchedule) -> Schedule {
+    match schedule {
+        LoopSchedule::Static => Schedule::Static { chunk: None },
+        LoopSchedule::Dynamic(c) => Schedule::Dynamic { chunk: (*c).max(1) },
+        LoopSchedule::Guided(c) => Schedule::Guided { min_chunk: (*c).max(1) },
+    }
 }
 
 fn call_function(
@@ -532,7 +594,7 @@ fn exec_directive(
     // Sequential-equivalence mode: "when the directives are disabled or
     // ignored by unsupported compilers, the code still retains its
     // correctness when executed sequentially" (§III).
-    if core.ignore_directives {
+    if core.run.ignore {
         return exec_block(core, body, env, omp);
     }
 
@@ -540,28 +602,11 @@ fn exec_directive(
         Directive::Target { directive: d, if_cond } => {
             // Honour wait(tag) clauses attached to the directive first.
             for tag in &d.wait_tags {
-                core.rt.wait_tag(tag);
+                core.run.rt.wait_tag(tag);
             }
             let enabled = match if_cond {
                 Some(cond) => eval_truthy(core, cond, env, omp)?,
                 None => true,
-            };
-            let target_name = match &d.target {
-                TargetProperty::Virtual(name) => name.clone(),
-                TargetProperty::Default => core
-                    .rt
-                    .default_target()
-                    .ok_or_else(|| rt_err("no default virtual target registered"))?,
-                // Dispatch to a registered simulated accelerator, else
-                // fall back to the host pool (documented substitution).
-                TargetProperty::Device(n) => {
-                    let name = format!("device:{n}");
-                    if core.rt.has_target(&name) {
-                        name
-                    } else {
-                        "worker".to_string()
-                    }
-                }
             };
             if !enabled {
                 // Disabled directive: execute synchronously in place.
@@ -572,42 +617,13 @@ fn exec_directive(
                 let core = Arc::clone(core);
                 let body = body.clone();
                 let env = env.clone();
-                move || {
-                    if let Err(e) = exec_block(&core, &body, &env, None) {
-                        core.errors.lock().push(e.to_string());
-                    }
-                }
+                move || core.run.record(exec_block(&core, &body, &env, None))
             };
-            let mode = d.mode.clone();
-            match &mode {
-                Mode::NoWait | Mode::NameAs(_) => {
-                    // Track in-flight blocks so `run` can quiesce.
-                    core.outstanding.fetch_add(1, Ordering::SeqCst);
-                    let core2 = Arc::clone(core);
-                    let tracked = move || {
-                        struct Guard(Arc<Core>);
-                        impl Drop for Guard {
-                            fn drop(&mut self) {
-                                self.0.outstanding.fetch_sub(1, Ordering::SeqCst);
-                            }
-                        }
-                        let _g = Guard(core2);
-                        closure();
-                    };
-                    core.rt
-                        .try_target(&target_name, mode, tracked)
-                        .map_err(|e| rt_err(e.to_string()))?;
-                }
-                Mode::Wait | Mode::Await => {
-                    core.rt
-                        .try_target(&target_name, mode, closure)
-                        .map_err(|e| rt_err(e.to_string()))?;
-                }
-            }
+            core.run.post_target(&d.target, d.mode.clone(), closure)?;
             Ok(Flow::Normal)
         }
         Directive::WaitTag(tag) => {
-            core.rt.wait_tag(tag);
+            core.run.rt.wait_tag(tag);
             Ok(Flow::Normal)
         }
         Directive::Parallel { num_threads } => {
@@ -644,13 +660,7 @@ fn exec_directive(
             }
             let (s, e) = (s as usize, e as usize);
             let n = num_threads.unwrap_or_else(pyjama_omp::default_num_threads);
-            let sched = match schedule {
-                LoopSchedule::Static => Schedule::Static { chunk: None },
-                LoopSchedule::Dynamic(c) => Schedule::Dynamic { chunk: (*c).max(1) },
-                LoopSchedule::Guided(c) => Schedule::Guided {
-                    min_chunk: (*c).max(1),
-                },
-            };
+            let sched = omp_schedule(schedule);
             let errors: Mutex<Vec<CompileError>> = Mutex::new(Vec::new());
             pyjama_omp::parallel(n, |ctx| {
                 ctx.for_range_nowait(s..e, sched, |i| {
@@ -710,11 +720,7 @@ fn exec_directive(
                 let core2 = Arc::clone(core);
                 let body2 = body.clone();
                 let env2 = env.clone();
-                ctx.task(move || {
-                    if let Err(e) = exec_block(&core2, &body2, &env2, None) {
-                        core2.errors.lock().push(e.to_string());
-                    }
-                });
+                ctx.task(move || core2.run.record(exec_block(&core2, &body2, &env2, None)));
                 Ok(Flow::Normal)
             }
             // "An orphaned task directive will execute sequentially" (§I).
@@ -938,18 +944,14 @@ fn builtin(
 ) -> Result<Value, CompileError> {
     match crate::builtins::Builtin::from_name(name) {
         Some(b) => {
-            let host = crate::builtins::Host {
-                output: &core.output,
-                epoch: core.epoch,
-            };
-            crate::builtins::call(b, &host, args, omp)
+            crate::builtins::call(b, &core.run.host(), args, omp)
         }
         None => Err(rt_err(format!("unknown function `{name}`"))),
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parser::parse;
 
@@ -1028,6 +1030,34 @@ mod tests {
             }"#,
         );
         assert_eq!(out.output, vec!["true"]);
+    }
+
+    /// Runs a `nowait` block that posts two nested `nowait` blocks to the
+    /// EDT just before it finishes; the second prints. When the outer block
+    /// is done, the print is still queued behind the first: the run's
+    /// quiesce must wait for it too, or shutting the EDT down drops it.
+    pub(crate) fn nested_nowait_output(engine: Engine) -> Vec<String> {
+        let src = r#"fn main() {
+            //#omp target virtual(worker) nowait
+            {
+                sleep_ms(20);
+                //#omp target virtual(edt) nowait
+                { sleep_ms(30); }
+                //#omp target virtual(edt) nowait
+                { print("nested"); }
+            }
+            print("main");
+        }"#;
+        let config = ExecConfig {
+            engine,
+            ..Default::default()
+        };
+        run_with(src, &config).output
+    }
+
+    #[test]
+    fn quiesce_covers_a_nowait_posted_by_a_nowait_block() {
+        assert_eq!(nested_nowait_output(Engine::Interp), vec!["main", "nested"]);
     }
 
     #[test]

@@ -19,20 +19,16 @@
 //! (`target_dispatches == RunOutput::target_posts`) ties the compiler's
 //! view of dispatch to the runtime's.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use pyjama_sync::Mutex;
 use pyjama_metrics::{VmCounters, VmStats};
-use pyjama_omp::{Ctx, Schedule};
-use pyjama_runtime::directive::TargetProperty;
-use pyjama_runtime::{Mode, Runtime};
+use pyjama_omp::Ctx;
 
-use crate::ast::{BinOp, LoopSchedule, Program, UnOp};
-use crate::builtins::{self, Host};
+use crate::ast::{BinOp, Program, UnOp};
+use crate::builtins;
 use crate::bytecode::{CapSrc, Chunk, Const, DirectiveSpec, Op, Reg};
-use crate::interp::{self, binary, rt_err, Cell, ExecConfig, RunOutput, Value};
+use crate::interp::{self, binary, rt_err, Cell, ExecConfig, RunOutput, RunState, Value};
 use crate::CompileError;
 
 /// Process-wide VM counters (ops, frames, dispatches). See
@@ -62,12 +58,7 @@ enum Slot {
 /// Shared run state — the VM's analogue of the interpreter's `Core`.
 struct VmCore {
     module: crate::bytecode::Module,
-    rt: Arc<Runtime>,
-    output: Mutex<Vec<String>>,
-    errors: Mutex<Vec<String>>,
-    outstanding: AtomicUsize,
-    epoch: Instant,
-    ignore: bool,
+    run: RunState,
 }
 
 #[derive(Default)]
@@ -105,31 +96,10 @@ pub fn run_program(program: &Program, config: &ExecConfig) -> Result<RunOutput, 
         )));
     }
 
-    let (rt, edt) = interp::setup_runtime(config)?;
-    let core = Arc::new(VmCore {
-        module,
-        rt: Arc::clone(&rt),
-        output: Mutex::new(Vec::new()),
-        errors: Mutex::new(Vec::new()),
-        outstanding: AtomicUsize::new(0),
-        epoch: Instant::now(),
-        ignore: config.ignore_directives,
-    });
-
+    let (run, edt) = RunState::start(config)?;
+    let core = Arc::new(VmCore { module, run });
     let result = run_entry(&core, main, Vec::new(), Vec::new(), None)?;
-
-    let target_posts = interp::finish_run(&rt, edt, &core.outstanding, config.quiesce_timeout)?;
-
-    let errors = core.errors.lock().clone();
-    if !errors.is_empty() {
-        return Err(rt_err(errors.join("; ")));
-    }
-    let output = core.output.lock().clone();
-    Ok(RunOutput {
-        output,
-        result: result.display(),
-        target_posts,
-    })
+    core.run.finish(edt, config, &result)
 }
 
 /// Runs one chunk on a fresh register stack — the entry point for `main`
@@ -471,11 +441,7 @@ fn run_range(
                 for k in 0..argc as u16 {
                     args.push(take(stack, base, rel + k)?);
                 }
-                let host = Host {
-                    output: &core.output,
-                    epoch: core.epoch,
-                };
-                let out = builtins::call(b, &host, args, omp)?;
+                let out = builtins::call(b, &core.run.host(), args, omp)?;
                 put(stack, base, dst, out);
             }
             Op::Ret { src } => {
@@ -485,17 +451,17 @@ fn run_range(
             Op::RetUnit => return Ok(Exit::Ret(Value::Unit)),
             Op::Fail { msg } => return Err(rt_err(const_str(chunk, msg).to_string())),
             Op::JumpIfIgnoring { to } => {
-                if core.ignore {
+                if core.run.ignore {
                     jump!(to);
                 }
             }
             Op::WaitTag { tag } => {
-                if !core.ignore {
-                    core.rt.wait_tag(const_str(chunk, tag));
+                if !core.run.ignore {
+                    core.run.rt.wait_tag(const_str(chunk, tag));
                 }
             }
             Op::Barrier => {
-                if !core.ignore {
+                if !core.run.ignore {
                     match omp {
                         Some(ctx) => ctx.barrier(),
                         None => {
@@ -505,7 +471,7 @@ fn run_range(
                 }
             }
             Op::TaskWait => {
-                if !core.ignore {
+                if !core.run.ignore {
                     if let Some(ctx) = omp {
                         ctx.taskwait();
                     }
@@ -559,21 +525,6 @@ fn dispatch(
                 Some(r) => val(stack, base, *r)?.truthy()?,
                 None => true,
             };
-            let target_name = match target {
-                TargetProperty::Virtual(name) => name.clone(),
-                TargetProperty::Default => core
-                    .rt
-                    .default_target()
-                    .ok_or_else(|| rt_err("no default virtual target registered"))?,
-                TargetProperty::Device(n) => {
-                    let name = format!("device:{n}");
-                    if core.rt.has_target(&name) {
-                        name
-                    } else {
-                        "worker".to_string()
-                    }
-                }
-            };
             if !enabled {
                 // Disabled directive: execute synchronously in place.
                 return Ok(DispatchOut::Inline);
@@ -582,35 +533,9 @@ fn dispatch(
             let chunk_idx = body.chunk as usize;
             let core2 = Arc::clone(core);
             let closure = move || {
-                if let Err(e) = run_entry(&core2, chunk_idx, cells, Vec::new(), None) {
-                    core2.errors.lock().push(e.to_string());
-                }
+                core2.run.record(run_entry(&core2, chunk_idx, cells, Vec::new(), None));
             };
-            match mode {
-                Mode::NoWait | Mode::NameAs(_) => {
-                    // Track in-flight blocks so the run can quiesce.
-                    core.outstanding.fetch_add(1, Ordering::SeqCst);
-                    let core3 = Arc::clone(core);
-                    let tracked = move || {
-                        struct Guard(Arc<VmCore>);
-                        impl Drop for Guard {
-                            fn drop(&mut self) {
-                                self.0.outstanding.fetch_sub(1, Ordering::SeqCst);
-                            }
-                        }
-                        let _g = Guard(core3);
-                        closure();
-                    };
-                    core.rt
-                        .try_target(&target_name, mode.clone(), tracked)
-                        .map_err(|e| rt_err(e.to_string()))?;
-                }
-                Mode::Wait | Mode::Await => {
-                    core.rt
-                        .try_target(&target_name, mode.clone(), closure)
-                        .map_err(|e| rt_err(e.to_string()))?;
-                }
-            }
+            core.run.post_target(target, mode.clone(), closure)?;
             COUNTERS.target_dispatches.inc();
             Ok(DispatchOut::Skip)
         }
@@ -646,13 +571,7 @@ fn dispatch(
             let cells = resolve_caps(stack, base, caps, &body.caps)?;
             let chunk_idx = body.chunk as usize;
             let n = num_threads.unwrap_or_else(pyjama_omp::default_num_threads);
-            let sched = match schedule {
-                LoopSchedule::Static => Schedule::Static { chunk: None },
-                LoopSchedule::Dynamic(c) => Schedule::Dynamic { chunk: (*c).max(1) },
-                LoopSchedule::Guided(c) => Schedule::Guided {
-                    min_chunk: (*c).max(1),
-                },
-            };
+            let sched = interp::omp_schedule(schedule);
             COUNTERS.team_regions.inc();
             let errors: Mutex<Vec<CompileError>> = Mutex::new(Vec::new());
             pyjama_omp::parallel(n, |ctx| {
@@ -697,9 +616,7 @@ fn dispatch(
                 let chunk_idx = body.chunk as usize;
                 let core2 = Arc::clone(core);
                 ctx.task(move || {
-                    if let Err(e) = run_entry(&core2, chunk_idx, cells, Vec::new(), None) {
-                        core2.errors.lock().push(e.to_string());
-                    }
+                    core2.run.record(run_entry(&core2, chunk_idx, cells, Vec::new(), None));
                 });
                 Ok(DispatchOut::Skip)
             }
@@ -779,6 +696,12 @@ mod tests {
         let interp = run_engine(src, Engine::Interp);
         assert_eq!(vm.output, interp.output);
         assert_eq!(vm.result, interp.result);
+    }
+
+    #[test]
+    fn vm_quiesce_covers_a_nowait_posted_by_a_nowait_block() {
+        let out = crate::interp::tests::nested_nowait_output(Engine::Vm);
+        assert_eq!(out, vec!["main", "nested"]);
     }
 
     #[test]

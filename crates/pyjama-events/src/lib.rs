@@ -24,6 +24,9 @@
 //! * [`parker`] — one parker per thread: every wait in the runtime parks on
 //!   the waiting thread's own [`WakeSignal`], and every wake source
 //!   notifies it.
+//! * [`latch`] — one counted wait: an outstanding count whose waiters park
+//!   on their own parkers until it drains, by generation (`wait(tag)`) or
+//!   to zero (a drain).
 //!
 //! The crate deliberately knows nothing about virtual targets; the runtime
 //! crate layers the paper's offloading semantics on top of these hooks.
@@ -33,6 +36,7 @@ pub mod edt;
 pub mod event;
 pub mod eventloop;
 pub mod inline;
+pub mod latch;
 pub mod parker;
 pub mod pump;
 mod queue;
@@ -42,6 +46,7 @@ pub use coalesce::Coalescer;
 pub use edt::Edt;
 pub use event::{Event, Priority};
 pub use inline::InlineFn;
+pub use latch::{Latch, LatchGuard};
 pub use eventloop::{EventLoop, EventLoopHandle, LoopStats};
 pub use parker::WakeSignal;
 pub use recurring::IntervalHandle;

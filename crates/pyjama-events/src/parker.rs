@@ -30,7 +30,7 @@
 //! nested waits sharing one permit (DESIGN.md §5h).
 
 use std::cell::OnceCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -90,6 +90,8 @@ pub struct WakeSignal {
     /// A pending wake not yet consumed by `park`.
     permit: AtomicBool,
     wake: EventCount,
+    /// Blocking parks on this signal alone (see [`parks`](Self::parks)).
+    parks: AtomicU64,
 }
 
 impl WakeSignal {
@@ -98,6 +100,7 @@ impl WakeSignal {
         WakeSignal {
             permit: AtomicBool::new(false),
             wake: EventCount::new(),
+            parks: AtomicU64::new(0),
         }
     }
 
@@ -130,18 +133,20 @@ impl WakeSignal {
         let waited = self
             .wake
             .wait(0, deadline, || self.permit.swap(false, Ordering::SeqCst));
-        match waited {
-            Wait::Spun => true,
-            Wait::Parked => {
-                COUNTERS.parks.inc();
-                COUNTERS.wakes.inc();
-                true
-            }
-            Wait::TimedOut => {
-                COUNTERS.parks.inc();
-                false
-            }
+        if waited != Wait::Spun {
+            COUNTERS.parks.inc();
+            // Only the owner parks: a plain load and store count exactly.
+            self.parks.store(self.parks.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         }
+        if waited == Wait::Parked {
+            COUNTERS.wakes.inc();
+        }
+        waited != Wait::TimedOut
+    }
+
+    /// Blocking parks of this signal's owner, timed-out ones included.
+    pub fn parks(&self) -> u64 {
+        self.parks.load(Ordering::Relaxed)
     }
 }
 
@@ -267,6 +272,19 @@ mod tests {
         assert!(after.parks > before.parks);
         assert!(after.wakes > before.wakes);
         assert!(after.notifies > before.notifies);
+    }
+
+    #[test]
+    fn a_signal_counts_only_its_own_blocking_parks() {
+        let s = WakeSignal::new();
+        s.notify();
+        s.park(); // the pending permit: no block, not counted
+        assert_eq!(s.parks(), 0);
+        assert!(!s.park_until(Instant::now() + Duration::from_millis(5)));
+        assert_eq!(s.parks(), 1, "a timed-out park blocked");
+        let other = WakeSignal::new();
+        assert!(!other.park_until(Instant::now() + Duration::from_millis(5)));
+        assert_eq!(s.parks(), 1, "another signal's park is not this one's");
     }
 
     #[test]

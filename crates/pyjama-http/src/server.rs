@@ -28,6 +28,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pyjama_control::{ConfigHandle, ControlPlane};
+use pyjama_events::Latch;
 use pyjama_metrics::{AdmissionCounters, AdmissionStats, ConnCounters, ConnStats, ReactorStats};
 use pyjama_runtime::{Runtime, TargetRegion, VirtualTarget, WorkerTarget};
 use pyjama_trace::{arg as trace_arg, Stage, TraceId};
@@ -113,8 +114,8 @@ struct ServerShared {
     conn: ConnCounters,
     /// Reactor-policy regions posted but not yet finished. The virtual
     /// target belongs to the application's runtime — `shutdown` cannot join
-    /// it, so it quiesces on this count instead.
-    inflight: AtomicU64,
+    /// it, so it drains this latch instead.
+    drain: Arc<Latch>,
     opts: ServerOptions,
     /// Admission accounting: `offered == admitted + shed` always holds.
     admission: AdmissionCounters,
@@ -235,7 +236,7 @@ impl HttpServer {
             served: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             conn: ConnCounters::new(),
-            inflight: AtomicU64::new(0),
+            drain: Arc::default(),
             opts,
             admission: AdmissionCounters::new(),
             control: control.map(|handle| ControlCtx {
@@ -451,12 +452,7 @@ impl HttpServer {
         // gone and the reactor closed, no region re-arms, so the count only
         // falls. The deadline is a backstop against a target that was shut
         // down underneath us with regions still queued.
-        let t0 = Instant::now();
-        while self.shared.inflight.load(Ordering::SeqCst) > 0
-            && t0.elapsed() < Duration::from_secs(5)
-        {
-            std::thread::sleep(Duration::from_micros(50));
-        }
+        self.shared.drain.wait_idle(Some(Instant::now() + Duration::from_secs(5)));
     }
 }
 
@@ -500,7 +496,7 @@ impl Dispatch {
     }
 }
 
-/// An inflight-counted post of a `nowait` region to the virtual target —
+/// A drain-counted post of a `nowait` region to the virtual target —
 /// the dispatch half of the Reactor policy.
 struct TargetPost {
     shared: Arc<ServerShared>,
@@ -522,32 +518,21 @@ impl TargetPost {
     /// the connection's trace flow. Returns `false` when the target cannot
     /// be resolved.
     fn post(&self, trace: TraceId, body: impl FnOnce() + Send + 'static) -> bool {
-        // Count the region in-flight across its whole run so `shutdown` can
-        // quiesce: the decrement runs after `body` — including the counter
-        // updates inside it — has finished.
-        self.shared.inflight.fetch_add(1, Ordering::SeqCst);
-        let shared = Arc::clone(&self.shared);
+        // Count the region in flight until `body` (with its counter updates)
+        // has finished, or until the region drops unrun: `shutdown` drains.
+        let entry = self.shared.drain.enter();
         let region = TargetRegion::with_label_trace(Arc::clone(&self.label), trace, move || {
             body();
-            shared.inflight.fetch_sub(1, Ordering::SeqCst);
+            drop(entry);
         });
-        let posted = match &self.dispatch {
-            Dispatch::Direct(t) => {
-                t.post(region);
-                true
-            }
+        match &self.dispatch {
+            Dispatch::Direct(t) => t.post(region),
             Dispatch::Lookup { runtime, name } => match runtime.lookup(name) {
-                Ok(t) => {
-                    t.post(region);
-                    true
-                }
-                Err(_) => false,
+                Ok(t) => t.post(region),
+                Err(_) => return false,
             },
-        };
-        if !posted {
-            self.shared.inflight.fetch_sub(1, Ordering::SeqCst);
         }
-        posted
+        true
     }
 }
 

@@ -1,8 +1,16 @@
 //! Algorithm 1: `invokeTargetBlock` and the scheduling-mode semantics.
+//!
+//! A name tag (§III-C) is a counted latch ([`pyjama_events::Latch`]):
+//! `name_as(tag)` enters it before the block is posted or run, the block's
+//! terminal transition exits it, and `wait(tag)` waits, helping as `await`
+//! does, for the latch generation of the instances tagged before it.
 
+use std::any::Any;
 use std::sync::Arc;
 
-use pyjama_trace::{arg as trace_arg, Stage};
+use pyjama_events::Latch;
+use pyjama_sync::Mutex;
+use pyjama_trace::{arg as trace_arg, Stage, TraceId};
 
 use crate::executor::VirtualTarget;
 use crate::mode::Mode;
@@ -18,7 +26,27 @@ fn mode_arg(mode: &Mode) -> u32 {
     }
 }
 
+/// A name tag: the latch its outstanding instances hold, and the first
+/// panic among them, which `wait(tag)` re-raises.
+#[derive(Default)]
+pub(crate) struct Tag {
+    pub(crate) latch: Arc<Latch>,
+    pub(crate) panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
 impl Runtime {
+    /// `name_as(tag)`: counts `region` into the tag (created on first use)
+    /// before it is posted or run, so a racing `wait(tag)` covers it.
+    /// Inlined: every post makes the `NameAs` check.
+    #[inline]
+    fn enter_tag(&self, mode: &Mode, region: &TargetRegion) {
+        let Mode::NameAs(name) = mode else { return };
+        let found = self.tags.read().get(name.as_str()).cloned();
+        region.hold_tag(found.unwrap_or_else(|| {
+            Arc::clone(self.tags.write().entry(name.as_str().into()).or_default())
+        }));
+    }
+
     /// The paper's Algorithm 1, verbatim in structure:
     ///
     /// ```text
@@ -42,11 +70,7 @@ impl Runtime {
         let handle = region.handle();
         pyjama_trace::emit(handle.trace_id(), Stage::RegionInvoked, mode_arg(&mode));
 
-        // name_as registration happens before posting so a wait(tag) racing
-        // with completion still observes the instance.
-        if let Mode::NameAs(tag) = &mode {
-            self.tags.register(tag, handle.clone());
-        }
+        self.enter_tag(&mode, &region);
 
         if target.is_member() {
             // Line 6–7: already in the execution environment — the directive
@@ -132,15 +156,10 @@ impl Runtime {
         } else {
             let region = TargetRegion::new(format!("target virtual({name}) if(false)"), block);
             let handle = region.handle();
-            // Register-before-run, the same ordering invoke_target_block
-            // guarantees: a concurrent wait_tag racing with this synchronous
-            // execution must still observe the instance.
-            if let Mode::NameAs(tag) = &mode {
-                self.tags.register(tag, handle.clone());
-            }
+            self.enter_tag(&mode, &region);
             region.execute();
             // Wait/Await semantics are trivially satisfied; propagate panics
-            // like a plain synchronous execution would.
+            // as a synchronous execution would (a tagged one at `wait(tag)`).
             if matches!(handle.state(), crate::task::TaskState::Panicked) {
                 handle.join();
             }
@@ -170,16 +189,22 @@ impl Runtime {
     /// its own worker pool's queue, so a `wait` on the EDT keeps the
     /// application responsive.
     pub fn wait_tag(&self, tag: &str) {
-        let instances = self.tags.snapshot(tag);
-        for h in &instances {
-            self.await_barrier(h);
-        }
-        self.tags.prune(tag);
+        let Some(tag) = self.tags.read().get(tag).cloned() else {
+            return;
+        };
+        let enlist = || tag.latch.enlist();
+        crate::parker::await_cond(TraceId::NONE, None, tag.latch.generation(), enlist);
         // Propagate the first panic, if any — after all instances finished,
         // mirroring a sequential execution order.
-        for h in &instances {
-            h.join();
+        let panic = tag.panic.lock().take();
+        if let Some(p) = panic {
+            std::panic::resume_unwind(p);
         }
+    }
+
+    /// Instances tagged `name_as(tag)` that have not finished (diagnostic).
+    pub fn tag_outstanding(&self, tag: &str) -> usize {
+        self.tags.read().get(tag).map_or(0, |t| t.latch.outstanding())
     }
 
     /// The `await` logical barrier (Algorithm 1 lines 13–16): while the
@@ -329,6 +354,53 @@ mod tests {
         gate.store(true, Ordering::SeqCst);
         rt.wait_tag("slow");
         assert!(slow_done.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn wait_tag_on_the_edt_covers_only_blocks_tagged_before_it() {
+        // An EDT handler tags a gated block and waits for the tag. While
+        // that wait pumps, a second handler tags another gated block and
+        // opens the first gate. The wait covers the first block only, so it
+        // returns while the second is still gated (a single counter would
+        // hold it until the test opens the second gate below).
+        let rt = Arc::new(rt_with_worker(2));
+        let edt = Edt::spawn("edt");
+        let gates = [Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false))];
+        let gated = |gate: &Arc<AtomicBool>| {
+            let g = Arc::clone(gate);
+            move || {
+                while !g.load(Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        };
+        let block1 = gated(&gates[0]);
+        let block2 = gated(&gates[1]);
+        let open1 = Arc::clone(&gates[0]);
+        let second_gated = Arc::clone(&gates[1]);
+        let returned = Arc::new(AtomicBool::new(false));
+        let (rt1, edt_handle, ret) = (Arc::clone(&rt), edt.handle(), Arc::clone(&returned));
+        edt.invoke_later(move || {
+            rt1.target("worker", Mode::name_as("t"), block1);
+            let rt2 = Arc::clone(&rt1);
+            edt_handle
+                .post(move || {
+                    rt2.target("worker", Mode::name_as("t"), block2);
+                    open1.store(true, Ordering::SeqCst);
+                })
+                .unwrap();
+            rt1.wait_tag("t");
+            ret.store(!second_gated.load(Ordering::SeqCst), Ordering::SeqCst);
+        });
+        let t0 = std::time::Instant::now();
+        while !returned.load(Ordering::SeqCst) && t0.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let in_time = returned.load(Ordering::SeqCst);
+        gates[1].store(true, Ordering::SeqCst);
+        assert!(in_time, "the EDT's wait(t) waited for a block tagged after it began");
+        rt.wait_tag("t");
+        assert_eq!(rt.tag_outstanding("t"), 0);
     }
 
     // ----- Mode::Await -------------------------------------------------------
@@ -613,7 +685,7 @@ mod tests {
     fn if_false_with_name_as_still_registers_tag() {
         let rt = rt_with_worker(1);
         rt.target_if("worker", Mode::name_as("t"), false, || {});
-        assert_eq!(rt.tags().instance_count("t"), 1);
+        assert_eq!(rt.tag_outstanding("t"), 0, "the finished instance left the count");
         rt.wait_tag("t");
     }
 
@@ -628,13 +700,14 @@ mod tests {
         let rt2 = Arc::clone(&rt);
         let s2 = Arc::clone(&seen);
         rt.target_if("worker", Mode::name_as("ordered"), false, move || {
-            s2.store(rt2.tags().instance_count("ordered"), Ordering::SeqCst);
+            s2.store(rt2.tag_outstanding("ordered"), Ordering::SeqCst);
         });
         assert_eq!(
             seen.load(Ordering::SeqCst),
             1,
             "tag must be visible before the block runs"
         );
+        assert_eq!(rt.tag_outstanding("ordered"), 0);
         rt.wait_tag("ordered");
     }
 

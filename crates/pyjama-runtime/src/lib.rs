@@ -27,14 +27,15 @@
 //! let done2 = Arc::clone(&done);
 //!
 //! // //#omp target virtual(worker) nowait
-//! rt.target("worker", Mode::NoWait, move || {
+//! let job = rt.target("worker", Mode::NoWait, move || {
 //!     // ... downloadAndCompute(hscode) ...
 //!     // //#omp target virtual(edt)  — default mode: wait
 //!     rt2.target("edt", Mode::Wait, move || {
 //!         done2.store(true, Ordering::SeqCst); // Panel.showMsg("Finished!")
 //!     });
 //! });
-//! # while !done.load(Ordering::SeqCst) { std::thread::sleep(std::time::Duration::from_millis(1)); }
+//! # job.wait(); // a nowait block's handle: only the example waits for it
+//! # assert!(done.load(Ordering::SeqCst));
 //! ```
 //!
 //! ## Scheduling modes (Table I)
@@ -43,7 +44,7 @@
 //! |---|---|---|
 //! | *(none)* | [`Mode::Wait`] | blocks until the block finishes |
 //! | `nowait` | [`Mode::NoWait`] | skips past, never notified |
-//! | `name_as(t)` | [`Mode::name_as`] | skips past; later `wait(t)` = [`Runtime::wait_tag`] |
+//! | `name_as(t)` | [`Mode::name_as`] | skips past, counted in tag `t`'s latch; later `wait(t)` = [`Runtime::wait_tag`] waits for the count of blocks tagged before it |
 //! | `await` | [`Mode::Await`] | skips blocking: **processes other events/tasks** until done |
 //!
 //! ## Algorithm 1
@@ -64,7 +65,6 @@ pub mod mode;
 pub mod parker;
 pub mod registry;
 pub mod slab;
-pub mod sync;
 pub mod target_edt;
 pub mod task;
 pub mod worker;
@@ -76,7 +76,6 @@ pub use mode::Mode;
 pub use parker::{park_stats, reset_park_stats, ParkStats, WakeSignal};
 pub use registry::{Runtime, RuntimeError};
 pub use slab::alloc_stats;
-pub use sync::TagRegistry;
 pub use target_edt::EdtTarget;
 pub use task::{TargetFuture, TargetRegion, TaskHandle, TaskState};
 pub use worker::{ResizeError, WorkerTarget};

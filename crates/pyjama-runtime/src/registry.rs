@@ -8,7 +8,7 @@ use pyjama_sync::RwLock;
 use pyjama_events::EventLoopHandle;
 
 use crate::executor::VirtualTarget;
-use crate::sync::TagRegistry;
+use crate::invoke::Tag;
 use crate::target_edt::EdtTarget;
 use crate::worker::WorkerTarget;
 
@@ -34,8 +34,8 @@ impl std::fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// The Pyjama runtime: a registry of named virtual targets plus the name-tag
-/// synchronisation state.
+/// The Pyjama runtime: a registry of named virtual targets plus the name
+/// tags of `name_as`/`wait(tag)`.
 ///
 /// "At the initializing stage … the runtime functions of Table II are
 /// required to be invoked with specific parameters" (§III-D):
@@ -48,7 +48,8 @@ impl std::error::Error for RuntimeError {}
 /// [`wait_tag`](Runtime::wait_tag)) live in [`crate::invoke`].
 pub struct Runtime {
     targets: RwLock<HashMap<String, Registered>>,
-    pub(crate) tags: TagRegistry,
+    /// Name tags, created on first use and looked up by `&str` after.
+    pub(crate) tags: RwLock<HashMap<Box<str>, Arc<Tag>>>,
     /// ICV in the spirit of `default-device-var`: the target used when a
     /// directive omits the target-property clause.
     default_target: RwLock<Option<String>>,
@@ -70,7 +71,7 @@ impl Runtime {
     pub fn new() -> Self {
         Runtime {
             targets: RwLock::new(HashMap::new()),
-            tags: TagRegistry::new(),
+            tags: RwLock::new(HashMap::new()),
             default_target: RwLock::new(None),
         }
     }
@@ -172,11 +173,6 @@ impl Runtime {
     /// overridden).
     pub fn default_target(&self) -> Option<String> {
         self.default_target.read().clone()
-    }
-
-    /// The name-tag registry (exposed for tests and diagnostics).
-    pub fn tags(&self) -> &TagRegistry {
-        &self.tags
     }
 
     /// Unregisters every target. Worker pools shut down when their last

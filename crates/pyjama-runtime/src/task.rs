@@ -9,6 +9,8 @@
 //! enlists its own parker ([`pyjama_events::parker`]) on the handle's
 //! waiter list and parks on it; the terminal transition drains the list and
 //! notifies each parker.
+//! A `name_as(tag)` region also holds an entry of its tag's latch in a
+//! slot on its core, which the terminal transition releases.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -16,10 +18,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pyjama_events::inline::InlineFn;
-use pyjama_events::parker;
+use pyjama_events::{parker, LatchGuard};
 use pyjama_sync::Mutex;
 use pyjama_trace::{arg as trace_arg, Stage, TraceId};
 
+use crate::invoke::Tag;
 use crate::parker::WakeSignal;
 
 /// Lifecycle of a target block instance.
@@ -71,23 +74,24 @@ impl TaskState {
 
 struct Core {
     state: Mutex<CoreState>,
-    /// Mirror of `CoreState::state`, written under the mutex, readable
-    /// without it. `state()` / `is_finished()` / the recycler's eligibility
-    /// checks sit on the per-post hot path; taking the mutex there costs
-    /// more than the read itself, and a lock would buy nothing — a locked
-    /// read is stale the instant the lock drops, exactly like an `Acquire`
-    /// load of this tag.
+    /// The lifecycle state, written only under the mutex (so it is stable
+    /// while the mutex is held), readable without it. `state()` /
+    /// `is_finished()` / the recycler's eligibility checks sit on the
+    /// per-post hot path; taking the mutex there costs more than the read
+    /// itself, and a lock would buy nothing — a locked read is stale the
+    /// instant the lock drops, exactly like an `Acquire` load of this tag.
     tag: AtomicU8,
 }
 
 struct CoreState {
-    state: TaskState,
     panic_payload: Option<Box<dyn Any + Send>>,
     /// Parkers of the threads waiting for the terminal transition, one
     /// entry per wait (nested waits of one thread enlist it twice). The
     /// transition drains it in place, so a recycled region keeps the
     /// capacity and a warm wait allocates nothing.
     waiters: Vec<Arc<WakeSignal>>,
+    /// The `name_as` tag this instance is counted in, until it is terminal.
+    name_tag: Option<(Arc<Tag>, LatchGuard)>,
 }
 
 /// A clonable handle observing one target block's completion.
@@ -103,9 +107,9 @@ impl TaskHandle {
         TaskHandle {
             core: Arc::new(Core {
                 state: Mutex::new(CoreState {
-                    state: TaskState::Pending,
                     panic_payload: None,
                     waiters: Vec::new(),
+                    name_tag: None,
                 }),
                 tag: AtomicU8::new(TaskState::Pending.as_u8()),
             }),
@@ -183,7 +187,7 @@ impl TaskHandle {
         }
         let parker = parker::current();
         let mut g = self.core.state.lock();
-        if g.state.is_terminal() {
+        if self.is_finished() {
             return None;
         }
         g.waiters.push(Arc::clone(&parker));
@@ -200,10 +204,16 @@ impl TaskHandle {
 
     fn transition(&self, to: TaskState, payload: Option<Box<dyn Any + Send>>) {
         let mut g = self.core.state.lock();
-        g.state = to;
         self.core.tag.store(to.as_u8(), Ordering::Release);
-        if payload.is_some() {
-            g.panic_payload = payload;
+        // A tagged instance's panic is re-raised by `wait(tag)`: it goes to
+        // the tag before the entry that the wait counts is released.
+        let held = if to.is_terminal() { g.name_tag.take() } else { None };
+        match (payload, &held) {
+            (Some(p), Some((tag, _))) => {
+                tag.panic.lock().get_or_insert(p);
+            }
+            (Some(p), None) => g.panic_payload = Some(p),
+            (None, _) => {}
         }
         // Waiters loop until terminal, so only the terminal transition
         // notifies. Draining in place under the lock keeps the list's
@@ -215,6 +225,8 @@ impl TaskHandle {
                 w.notify();
             }
         }
+        drop(g);
+        drop(held);
     }
 }
 
@@ -363,13 +375,18 @@ impl TargetRegion {
         let core = Arc::get_mut(&mut self.handle.core)
             .expect("reset requires an unpinned core (recyclable() was checked)");
         let g = core.state.get_mut();
-        g.state = TaskState::Pending;
         core.tag.store(TaskState::Pending.as_u8(), Ordering::Release);
         g.panic_payload = None;
-        debug_assert!(g.waiters.is_empty());
+        debug_assert!(g.waiters.is_empty() && g.name_tag.is_none());
         self.handle.label = label;
         self.handle.trace = trace;
         *self.body.get_mut() = Some(body);
+    }
+
+    /// Counts this region into a `name_as` tag until it is terminal (or dropped).
+    pub(crate) fn hold_tag(&self, tag: Arc<Tag>) {
+        let entry = tag.latch.enter();
+        self.handle.core.state.lock().name_tag = Some((tag, entry));
     }
 
     /// The completion handle.
