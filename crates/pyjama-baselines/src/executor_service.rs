@@ -75,12 +75,21 @@ impl ExecutorService {
     }
 
     /// Submits a runnable; returns nothing (`execute`).
+    ///
+    /// # Panics
+    /// Panics once [`shutdown`](Self::shutdown) has begun. The flag is read
+    /// in the same hold of the queue lock as the push, and `shutdown` sets
+    /// it under that lock, so a job is either queued before the pool
+    /// threads can see the flag (and runs) or refused; it is never queued
+    /// behind the last exiting thread.
     pub fn execute(&self, f: impl FnOnce() + Send + 'static) {
-        assert!(
-            !self.inner.shutdown.load(Ordering::SeqCst),
-            "executor has been shut down"
-        );
-        self.inner.queue.lock().push_back(Box::new(f));
+        let mut q = self.inner.queue.lock();
+        let refused = self.inner.shutdown.load(Ordering::SeqCst);
+        if !refused {
+            q.push_back(Box::new(f));
+        }
+        drop(q);
+        assert!(!refused, "executor has been shut down");
         self.inner.cond.notify_one();
     }
 
@@ -273,6 +282,39 @@ mod tests {
         let ex = ExecutorService::new_fixed(1);
         ex.shutdown();
         ex.execute(|| {});
+    }
+
+    #[test]
+    fn submits_racing_shutdown_run_or_are_refused() {
+        for _ in 0..100 {
+            let ex = Arc::new(ExecutorService::new_fixed(1));
+            let submitter = {
+                let ex = Arc::clone(&ex);
+                std::thread::spawn(move || {
+                    let mut accepted = Vec::new();
+                    loop {
+                        let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            ex.submit(|| 1)
+                        }));
+                        match submitted {
+                            Ok(f) => accepted.push(f),
+                            Err(_) => return accepted,
+                        }
+                    }
+                })
+            };
+            while ex.queue_len() == 0 {
+                std::thread::yield_now();
+            }
+            ex.shutdown();
+            for f in submitter.join().unwrap() {
+                assert_eq!(
+                    f.get_timeout(Duration::from_secs(5)),
+                    Some(1),
+                    "an accepted job must run even when shutdown races it"
+                );
+            }
+        }
     }
 
     #[test]

@@ -78,6 +78,11 @@ pub enum Mutation {
     /// notify-between-check-and-park window becomes a lost wakeup
     /// (deadlock).
     ParkerNotifySkipPermit,
+    /// `pyjama-events/src/parker.rs::notify`: the pending-permit fast path
+    /// returns when the permit is *clear* instead of set. No notify ever
+    /// sets the permit, so an owner that parks before the condition turns
+    /// true sleeps forever (deadlock).
+    ParkerFastPathOnClearPermit,
     /// `pyjama-events/src/parker.rs::notify`: suppress the condvar wake by
     /// a "someone already woke it" flag that `park` never clears, instead
     /// of by the pending permit. The second park cycle never gets its wake

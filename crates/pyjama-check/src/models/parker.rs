@@ -44,10 +44,22 @@ impl ModelWakeSignal {
         }
     }
 
-    /// ⇔ `WakeSignal::notify`: swap the permit in; notify the eventcount
-    /// only if this call set it (a pending permit means an earlier notify
-    /// set it and its wake is in flight or will be seen by the park).
+    /// ⇔ `WakeSignal::notify`: a permit already pending returns after one
+    /// load; otherwise swap the permit in and notify the eventcount only if
+    /// this call set it (a pending permit means an earlier notify set it
+    /// and its wake is in flight or will be seen by the park).
     pub fn notify(&self) {
+        let pending = self.permit.load(Ordering::SeqCst);
+        let fast_return = if self.mutation == Mutation::ParkerFastPathOnClearPermit {
+            // BUG: the fast path's test inverted. A notify that finds the
+            // permit clear, the one case that must set it, returns.
+            !pending
+        } else {
+            pending
+        };
+        if fast_return {
+            return;
+        }
         if self.mutation == Mutation::ParkerNotifySkipPermit && self.wake.sleepers() == 0 {
             // BUG: only wake a currently-parked owner. A notify landing in
             // the window between the owner's "no work" check and its park

@@ -612,6 +612,23 @@ fn mutation_parker_notify_skip_permit_caught() {
     assert_replays(&fail, parker_race_scenario(Mutation::ParkerNotifySkipPermit));
 }
 
+/// The fast path with its test inverted loses the wake in the first
+/// schedule of both the check-then-park race and the two-cycle scenario:
+/// the checker must catch it deterministically, in its bounded DFS, and
+/// replay it from the recorded schedule.
+#[test]
+fn mutation_parker_fast_path_on_clear_permit_caught() {
+    fn caught<F: Fn() + Send + Sync + 'static>(name: &str, scenario: fn(Mutation) -> F) {
+        let dfs = Checker { random_iters: 0, ..wide() };
+        let fail = dfs.find_failure(name, scenario(Mutation::ParkerFastPathOnClearPermit));
+        let fail = assert_caught(name, fail);
+        assert!(fail.message.contains("deadlock"), "expected lost wakeup, got: {}", fail.message);
+        assert_replays(&fail, scenario(Mutation::ParkerFastPathOnClearPermit));
+    }
+    caught("parker-fast-path-on-clear", parker_race_scenario);
+    caught("parker-fast-path-on-clear-two-cycles", parker_two_cycle_scenario);
+}
+
 /// The pre-PR-6 `await_until_inner` bug, reproduced as a mutation: timeout
 /// wakes cleared `woke_with_no_work`, under-counting spurious wakes.
 #[test]

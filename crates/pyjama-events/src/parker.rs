@@ -24,7 +24,8 @@
 //! The permit is an `AtomicBool`; `park` is an [`EventCount`] wait (spin 0)
 //! that swaps it out, and `notify` calls the eventcount only when it is the
 //! call that set the permit, so a burst of posts to one parked thread costs
-//! one wake.
+//! one wake. A notify that finds the permit already set returns after one
+//! load, so the rest of such a burst costs no read-modify-write either.
 //!
 //! Model-checked twin: `pyjama-check/src/models/parker.rs`, including two
 //! nested waits sharing one permit (DESIGN.md §5h).
@@ -108,9 +109,20 @@ impl WakeSignal {
     /// already pending, releases a parked owner. Callable from any thread,
     /// any number of times; permits do not accumulate, and neither do
     /// condvar wakes — a pending permit means the wake is in flight.
+    ///
+    /// A notify that finds the permit already pending is one load: the
+    /// owner has yet to consume that permit, and it re-checks its condition
+    /// after consuming it. That re-check sees what the caller published as
+    /// long as the publication is ordered before this call by a SeqCst
+    /// store, read-modify-write or fence, or a lock release; every wake
+    /// source does one of these. Only a notify that sets the permit counts
+    /// as a notify.
     pub fn notify(&self) {
-        COUNTERS.notifies.inc();
+        if self.permit.load(Ordering::SeqCst) {
+            return;
+        }
         if !self.permit.swap(true, Ordering::SeqCst) {
+            COUNTERS.notifies.inc();
             self.wake.notify();
         }
     }

@@ -12,6 +12,7 @@
 //! * `XStats` with one `pub u64` per field, in declaration order, deriving
 //!   `Clone, Copy, Debug, Default, PartialEq, Eq`;
 //! * `XStats::since(&earlier)`, the growth over a window;
+//! * `XStats::plus(&other)`, the sum of two shards of a set;
 //! * `XStats::fields()`, every `(name, value)` pair in declaration order.
 //!
 //! A field is either a [`Counter`], which only goes up, or a [`Gauge`], a
@@ -22,7 +23,9 @@
 //! gauges from the later snapshot, because a gauge delta means nothing.
 //!
 //! Every cell update is a single `Relaxed` atomic operation, so recording
-//! does not perturb the path being measured. A snapshot is therefore only
+//! does not perturb the path being measured. A cell that only one thread
+//! ever writes can skip even that read-modify-write with
+//! [`Counter::add_owned`], a plain load and store. A snapshot is therefore only
 //! "consistent enough": a conservation law over it is exact only at
 //! quiesce, and increments racing a `reset()` land on either side of it.
 //! Laws and derived ratios are hand-written methods on the generated
@@ -53,10 +56,31 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Counts one event on a cell that only the calling thread writes.
+    #[inline]
+    pub fn inc_owned(&self) {
+        self.add_owned(1);
+    }
+
+    /// Counts `n` events on a cell that only the calling thread writes: a
+    /// plain load and store, no read-modify-write. Every update of such a
+    /// cell must come from its one owning thread, this way; a `reset` from
+    /// another thread would race it, so an owned cell is never reset, and
+    /// a reader that wants a window subtracts an earlier snapshot instead.
+    #[inline]
+    pub fn add_owned(&self, n: u64) {
+        self.0.store(self.0.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+
     /// The current count.
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+
+    #[doc(hidden)]
+    pub fn plus(a: u64, b: u64) -> u64 {
+        a + b
     }
 
     /// For the generated `XCounters::reset` only; resetting one cell
@@ -115,6 +139,11 @@ impl Gauge {
     #[doc(hidden)]
     pub fn since(later: u64, _earlier: u64) -> u64 {
         later
+    }
+
+    #[doc(hidden)]
+    pub fn plus(a: u64, b: u64) -> u64 {
+        a + b
     }
 }
 
@@ -201,6 +230,14 @@ macro_rules! counter_set {
                 }
             }
 
+            /// The field-by-field sum of two snapshots: the whole of a set
+            /// kept in shards, e.g. one per owning thread.
+            pub fn plus(&self, other: &$stats) -> $stats {
+                $stats {
+                    $($field: $crate::$cell::plus(self.$field, other.$field),)+
+                }
+            }
+
             /// Every `(field name, value)` pair, in declaration order.
             pub fn fields(&self) -> [(&'static str, u64); [$(stringify!($field)),+].len()] {
                 [$((stringify!($field), self.$field)),+]
@@ -253,6 +290,16 @@ mod tests {
         // `reset` zeroes counters and keeps gauges.
         c.reset();
         assert_eq!(c.snapshot(), ProbeStats { first: 0, second: 0, level: 4 });
+
+        // `plus` sums shards field by field, gauges included.
+        let shard = ProbeCounters::new();
+        shard.first.inc_owned();
+        shard.second.add_owned(2);
+        shard.level.set(1);
+        assert_eq!(
+            c.snapshot().plus(&shard.snapshot()),
+            ProbeStats { first: 1, second: 2, level: 5 }
+        );
 
         // Across a reset, `since` saturates instead of wrapping.
         c.first.inc();

@@ -6,7 +6,8 @@
 //! a notification had to wake a blocked thread, and how many wakeups
 //! delivered no work (spurious). A healthy barrier shows `wakes` close to
 //! `parks` and a small `spurious_wakes` fraction; a regression back towards
-//! polling would show up as `parks` vastly exceeding `notifies`.
+//! polling would show up as `parks` vastly exceeding `notifies`, which counts
+//! only the notifications that delivered a new permit.
 
 crate::counter_set! {
     /// Cumulative parker counters. Increments are single relaxed atomic adds
@@ -18,8 +19,10 @@ crate::counter_set! {
         /// Times a blocked thread was released by a notification (not by a
         /// deadline).
         wakes: Counter,
-        /// Notifications sent by wake sources, whether or not anyone was
-        /// blocked.
+        /// Notifications that set a parker's permit, whether or not its
+        /// owner was blocked. A notify that finds the permit already
+        /// pending (an earlier wake not yet consumed) returns after one
+        /// load and is not counted.
         notifies: Counter,
         /// Wakeups consumed by a thread that then found neither completed
         /// work nor anything to help with.

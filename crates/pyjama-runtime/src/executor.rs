@@ -69,7 +69,9 @@ pyjama_metrics::counter_set! {
     /// events, so `injector_pops / injector_batches` and
     /// `(steals + steal_moved) / steal_batches` are the realised
     /// amortisation factors. The scheduler fields stay zero for targets
-    /// without distributed queues, e.g. EDTs.
+    /// without distributed queues, e.g. EDTs. A worker pool keeps the
+    /// fields only its members bump in one set per member thread, written
+    /// without a read-modify-write, and sums them into its snapshot.
     pub struct TargetCounters => TargetStats {
         /// Blocks posted asynchronously.
         posted: Counter,

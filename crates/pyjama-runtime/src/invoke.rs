@@ -123,7 +123,7 @@ impl Runtime {
         mode: Mode,
         block: impl FnOnce() + Send + 'static,
     ) -> Result<TaskHandle, RuntimeError> {
-        let (target, label) = self.lookup_with_label(name)?;
+        let (target, label) = self.resolve(name)?;
         // The label was interned at registration: no per-post `format!`.
         let region = TargetRegion::with_label(label, block);
         Ok(self.invoke_target_block(&target, mode, region))

@@ -1,7 +1,27 @@
 //! The runtime registry: named virtual targets and the Table II functions.
+//!
+//! ## Resolving a name on the post path
+//!
+//! Pyjama compiles each `target virtual(name)` directive, so its runtime
+//! never resolves a name while the program runs. Here a directive names
+//! its target by `&str` on every post, so each posting thread keeps a small
+//! resolution cache (`Resolved`) in front of the registry lock. An entry
+//! is keyed by the *registry version* it was resolved under: every
+//! [`Runtime::new`], `register` and `clear` draws a fresh version from one
+//! process-wide counter, so a version names one registry state of one
+//! runtime for the life of the process, and an entry can never match a
+//! different runtime, a later state or a dropped runtime. A hit is one
+//! version load, a name compare and two reference-count increments (the
+//! target's `Weak` upgrade and the label's clone); it takes no lock and
+//! hashes nothing. The entry holds the target as a `Weak`, so a cache
+//! never keeps a pool alive after `clear()` or after its runtime drops.
+//! Neither a hit nor a refill allocates: the cache is a fixed array, and
+//! the name is compared against the interned label it already holds.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 use pyjama_sync::RwLock;
 
@@ -48,6 +68,9 @@ impl std::error::Error for RuntimeError {}
 /// [`wait_tag`](Runtime::wait_tag)) live in [`crate::invoke`].
 pub struct Runtime {
     targets: RwLock<HashMap<String, Registered>>,
+    /// The registry version: stored under the `targets` write lock by every
+    /// change, drawn from [`VERSIONS`].
+    version: AtomicU64,
     /// Name tags, created on first use and looked up by `&str` after.
     pub(crate) tags: RwLock<HashMap<Box<str>, Arc<Tag>>>,
     /// ICV in the spirit of `default-device-var`: the target used when a
@@ -66,11 +89,78 @@ struct Registered {
     region_label: Arc<str>,
 }
 
+/// The label every registered target's regions carry; the name sits
+/// between the prefix and the closing parenthesis.
+const LABEL_PREFIX: &str = "target virtual(";
+
+fn region_label(name: &str) -> Arc<str> {
+    Arc::from(format!("{LABEL_PREFIX}{name})"))
+}
+
+/// The registered name inside an interned region label.
+fn label_name(label: &str) -> &str {
+    &label[LABEL_PREFIX.len()..label.len() - 1]
+}
+
+/// Process-wide source of registry versions. Starts at 1: an empty cache
+/// entry's version 0 never matches.
+static VERSIONS: AtomicU64 = AtomicU64::new(1);
+
+fn next_version() -> u64 {
+    VERSIONS.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Entries in each thread's resolution cache: a thread that posts by name
+/// usually names one or two targets.
+const RESOLVED_ENTRIES: usize = 4;
+
+/// One by-name resolution cached on the posting thread.
+struct Resolved {
+    /// The registry version the entry was resolved under.
+    version: u64,
+    target: Weak<dyn VirtualTarget>,
+    /// The interned region label; also the entry's name (see [`label_name`]).
+    label: Arc<str>,
+}
+
+/// A thread's resolution cache: a fixed array refilled round-robin.
+struct ResolveCache {
+    entries: [Option<Resolved>; RESOLVED_ENTRIES],
+    next: usize,
+}
+
+impl ResolveCache {
+    fn hit(&self, version: u64, name: &str) -> Option<(Arc<dyn VirtualTarget>, Arc<str>)> {
+        let e = self
+            .entries
+            .iter()
+            .flatten()
+            .find(|e| e.version == version && label_name(&e.label) == name)?;
+        Some((e.target.upgrade()?, Arc::clone(&e.label)))
+    }
+
+    fn fill(&mut self, version: u64, target: &Arc<dyn VirtualTarget>, label: &Arc<str>) {
+        self.entries[self.next] = Some(Resolved {
+            version,
+            target: Arc::downgrade(target),
+            label: Arc::clone(label),
+        });
+        self.next = (self.next + 1) % RESOLVED_ENTRIES;
+    }
+}
+
+thread_local! {
+    static RESOLVED: RefCell<ResolveCache> = const {
+        RefCell::new(ResolveCache { entries: [const { None }; RESOLVED_ENTRIES], next: 0 })
+    };
+}
+
 impl Runtime {
     /// Creates an empty runtime (no targets registered).
     pub fn new() -> Self {
         Runtime {
             targets: RwLock::new(HashMap::new()),
+            version: AtomicU64::new(next_version()),
             tags: RwLock::new(HashMap::new()),
             default_target: RwLock::new(None),
         }
@@ -121,8 +211,9 @@ impl Runtime {
         if g.is_empty() {
             *self.default_target.write() = Some(name.clone());
         }
-        let region_label = Arc::from(format!("target virtual({name})"));
+        let region_label = region_label(&name);
         g.insert(name, Registered { target, region_label });
+        self.version.store(next_version(), Ordering::Release);
         Ok(())
     }
 
@@ -135,17 +226,31 @@ impl Runtime {
             .ok_or_else(|| RuntimeError::UnknownTarget(name.to_string()))
     }
 
-    /// Looks up a target together with its interned region label (computed
-    /// once at registration, so the posting hot path never formats).
-    pub(crate) fn lookup_with_label(
+    /// Resolves a target together with its interned region label (computed
+    /// once at registration, so the posting hot path never formats): from
+    /// the calling thread's resolution cache when it holds this name at the
+    /// current registry version, else under the registry lock, refilling
+    /// the cache.
+    pub(crate) fn resolve(
         &self,
         name: &str,
     ) -> Result<(Arc<dyn VirtualTarget>, Arc<str>), RuntimeError> {
-        self.targets
-            .read()
+        let version = self.version.load(Ordering::Acquire);
+        // `try_with`: during thread-local teardown, resolve under the lock.
+        if let Some(hit) = RESOLVED.try_with(|c| c.borrow().hit(version, name)).ok().flatten() {
+            return Ok(hit);
+        }
+        let g = self.targets.read();
+        // Stable while the read lock is held: changes store it under the
+        // write lock.
+        let version = self.version.load(Ordering::Relaxed);
+        let r = g
             .get(name)
-            .map(|r| (Arc::clone(&r.target), Arc::clone(&r.region_label)))
-            .ok_or_else(|| RuntimeError::UnknownTarget(name.to_string()))
+            .ok_or_else(|| RuntimeError::UnknownTarget(name.to_string()))?;
+        let (target, label) = (Arc::clone(&r.target), Arc::clone(&r.region_label));
+        drop(g);
+        let _ = RESOLVED.try_with(|c| c.borrow_mut().fill(version, &target, &label));
+        Ok((target, label))
     }
 
     /// True when `name` is registered.
@@ -176,10 +281,17 @@ impl Runtime {
     }
 
     /// Unregisters every target. Worker pools shut down when their last
-    /// `Arc` drops; this severs the runtime's references.
+    /// `Arc` drops; this severs the runtime's references (resolution caches
+    /// hold only `Weak`s). The targets drop after the lock is released, so
+    /// a pool's shutdown never joins a thread that waits on the registry.
     pub fn clear(&self) {
-        self.targets.write().clear();
+        let taken = {
+            let mut g = self.targets.write();
+            self.version.store(next_version(), Ordering::Release);
+            std::mem::take(&mut *g)
+        };
         *self.default_target.write() = None;
+        drop(taken);
     }
 }
 
@@ -269,6 +381,87 @@ mod tests {
         rt.clear();
         assert!(!rt.has_target("w"));
         assert!(rt.default_target().is_none());
+    }
+
+    // ----- the per-thread resolution cache ------------------------------
+
+    use crate::mode::Mode;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Posts to `name` by name and waits; the pool's `executed` count says
+    /// which pool ran it.
+    fn post_by_name(rt: &Runtime, name: &str) {
+        rt.target(name, Mode::Wait, || {});
+    }
+
+    #[test]
+    fn clear_and_reregister_reaches_the_new_target() {
+        let rt = Runtime::new();
+        let old = rt.virtual_target_create_worker("worker", 1);
+        post_by_name(&rt, "worker"); // fills this thread's cache
+        assert_eq!(old.stats().executed, 1);
+        rt.clear();
+        assert!(matches!(
+            rt.try_target("worker", Mode::Wait, || {}),
+            Err(RuntimeError::UnknownTarget(_))
+        ));
+        let new = rt.virtual_target_create_worker("worker", 1);
+        post_by_name(&rt, "worker");
+        assert_eq!(new.stats().executed, 1, "the re-registered target ran it");
+        assert_eq!(old.stats().executed, 1, "the cleared target did not");
+    }
+
+    #[test]
+    fn two_runtimes_on_one_thread_keep_their_own_targets() {
+        let (a, b) = (Runtime::new(), Runtime::new());
+        let wa = a.virtual_target_create_worker("worker", 1);
+        let wb = b.virtual_target_create_worker("worker", 1);
+        for _ in 0..3 {
+            post_by_name(&a, "worker");
+            post_by_name(&b, "worker");
+            post_by_name(&b, "worker");
+        }
+        assert_eq!((wa.stats().executed, wb.stats().executed), (3, 6));
+    }
+
+    #[test]
+    fn a_cached_resolution_keeps_no_target_alive() {
+        let rt = Runtime::new();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let worker = rt.virtual_target_create_worker("worker", 1);
+        let weak: Weak<WorkerTarget> = Arc::downgrade(&worker);
+        drop(worker);
+        let r = Arc::clone(&ran);
+        rt.target("worker", Mode::Wait, move || {
+            r.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        });
+        assert_eq!(ran.load(std::sync::atomic::Ordering::SeqCst), 1);
+        // This thread's cache now holds the target; dropping the runtime
+        // must still drop the pool (and join its thread).
+        drop(rt);
+        assert!(weak.upgrade().is_none(), "the resolution cache kept the pool alive");
+
+        // Likewise after `clear()` on a live runtime.
+        let rt = Runtime::new();
+        let weak = Arc::downgrade(&rt.virtual_target_create_worker("worker", 1));
+        post_by_name(&rt, "worker");
+        rt.clear();
+        assert!(weak.upgrade().is_none(), "the resolution cache kept the pool alive");
+    }
+
+    #[test]
+    fn resolution_cache_survives_more_names_than_entries() {
+        let rt = Runtime::new();
+        let names: Vec<String> = (0..RESOLVED_ENTRIES + 2).map(|i| format!("w{i}")).collect();
+        let pools: Vec<_> = names.iter().map(|n| rt.virtual_target_create_worker(n.as_str(), 1)).collect();
+        for _ in 0..2 {
+            for n in &names {
+                post_by_name(&rt, n);
+            }
+        }
+        for p in &pools {
+            assert_eq!(p.stats().executed, 2);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! slot on its core, which the terminal transition releases.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -220,7 +220,12 @@ impl TaskHandle {
         // capacity for the region's next incarnation; a notify is a permit
         // swap plus, for a parked waiter, one futex wake, and a woken
         // waiter needs this lock only to take a panic payload.
-        if to.is_terminal() {
+        if to.is_terminal() && !g.waiters.is_empty() {
+            // The state above is a Release store; a notify that finds a
+            // waiter's permit pending is a bare load, which that store
+            // does not order. The fence orders the state before it, so the
+            // waiter's re-check after consuming the permit sees it.
+            fence(Ordering::SeqCst);
             for w in g.waiters.drain(..) {
                 w.notify();
             }

@@ -136,7 +136,22 @@ struct WorkerSlot {
     /// deque drained). Retired slots are *not* wake candidates: `parked`
     /// stays false the whole time, so `wake_one` never picks them.
     retired: AtomicBool,
+    /// The scheduler counters of this slot's thread (see [`SlotCounters`]).
+    counts: SlotCounters,
 }
+
+/// The counters one member thread bumps as it acquires and runs work:
+/// `executed`, `helped`, the pops, steals and batches. Only the slot's own
+/// thread writes them, with [`Counter::add_owned`] (a plain load and
+/// store), so counting an execution costs no shared read-modify-write;
+/// `posted` and `rejected`, which any thread may bump, stay in
+/// `Inner::stats`. Aligned to its own cache lines, so these writes do not
+/// share a line with the slot fields producers scan (`parked`).
+///
+/// [`Counter::add_owned`]: pyjama_metrics::Counter::add_owned
+#[repr(align(128))]
+#[derive(Default)]
+struct SlotCounters(TargetCounters);
 
 /// The injector's lock also serializes posts against shutdown, preserving
 /// the old single-lock guarantee that a post either lands before shutdown
@@ -159,7 +174,12 @@ struct Inner {
     /// Bounded above by `slots.len()` (the fixed capacity). SeqCst so the
     /// retire check composes with the eventcount handshake's fences.
     target_threads: AtomicUsize,
+    /// The counters any thread may bump: `posted`, `rejected`.
     stats: TargetCounters,
+    /// What [`WorkerTarget::reset_stats`] last read: `stats()` reports the
+    /// growth since. Slot counters are never reset (their owners write
+    /// them without a read-modify-write), so a reset records a baseline.
+    baseline: Mutex<TargetStats>,
 }
 
 impl Inner {
@@ -173,11 +193,24 @@ impl Inner {
         })
     }
 
-    /// Pops a task from worker `who`'s batch-drain buffer — its own on the
-    /// fast path, a busy sibling's when rescuing (see `try_steal`). Buffered
-    /// tasks count as `injector_pops` at consumption time regardless of who
-    /// runs them, so the conservation law is batch-size independent.
-    fn pop_buffered(&self, who: usize) -> Option<Arc<TargetRegion>> {
+    /// Member `me`'s own counters; only `me`'s thread may bump them.
+    fn owned(&self, me: usize) -> &TargetCounters {
+        &self.slots[me].counts.0
+    }
+
+    /// The pool's counters as raw totals: the shared set plus every slot's.
+    fn raw_stats(&self) -> TargetStats {
+        self.slots
+            .iter()
+            .fold(self.stats.snapshot(), |sum, s| sum.plus(&s.counts.0.snapshot()))
+    }
+
+    /// Member `me` pops a task from worker `who`'s batch-drain buffer — its
+    /// own on the fast path, a busy sibling's when rescuing (see
+    /// `try_steal`). Buffered tasks count as `injector_pops` of the member
+    /// that takes them, at consumption time, so the conservation law is
+    /// batch-size independent.
+    fn pop_buffered(&self, who: usize, me: usize) -> Option<Arc<TargetRegion>> {
         let slot = &self.slots[who];
         if slot.pending_len.load(Ordering::Relaxed) == 0 {
             return None;
@@ -188,7 +221,7 @@ impl Inner {
             slot.pending_len.store(buf.len(), Ordering::Relaxed);
             region
         };
-        self.stats.injector_pops.inc();
+        self.owned(me).injector_pops.inc_owned();
         Some(region)
     }
 
@@ -217,9 +250,10 @@ impl Inner {
         // under the lock).
         self.injector_len.fetch_sub(1 + extra, Ordering::SeqCst);
         drop(g);
-        self.stats.injector_pops.inc();
-        self.stats.injector_batches.inc();
-        self.stats.injector_moved.add(extra as u64);
+        let counts = self.owned(me);
+        counts.injector_pops.inc_owned();
+        counts.injector_batches.inc_owned();
+        counts.injector_moved.add_owned(extra as u64);
         Some(region)
     }
 
@@ -235,16 +269,17 @@ impl Inner {
     /// parties and executes as later `local_pops`.
     fn try_steal(&self, me: usize) -> Option<Arc<TargetRegion>> {
         let n = self.slots.len();
+        let counts = self.owned(me);
         for i in 1..n {
             let victim = (me + i) % n;
-            self.stats.steal_attempts.inc();
+            counts.steal_attempts.inc_owned();
             let (result, moved) = self.slots[victim].deque.steal_half(&self.slots[me].deque);
             match result {
                 Steal::Item(region) => {
-                    self.stats.steals.inc();
+                    counts.steals.inc_owned();
                     if moved > 0 {
-                        self.stats.steal_batches.inc();
-                        self.stats.steal_moved.add(moved as u64);
+                        counts.steal_batches.inc_owned();
+                        counts.steal_moved.add_owned(moved as u64);
                     }
                     return Some(region);
                 }
@@ -255,7 +290,7 @@ impl Inner {
             // tasks would be invisible to idle siblings until the handler
             // returns — a liveness hole the pre-batching injector did not
             // have. FIFO is preserved (rescues take the buffer's front).
-            if let Some(region) = self.pop_buffered(victim) {
+            if let Some(region) = self.pop_buffered(victim, me) {
                 return Some(region);
             }
         }
@@ -267,11 +302,11 @@ impl Inner {
     /// run loop and the helping paths.
     fn acquire(&self, me: usize) -> Option<Arc<TargetRegion>> {
         if let Some(region) = self.slots[me].deque.pop() {
-            self.stats.local_pops.inc();
+            self.owned(me).local_pops.inc_owned();
             pyjama_trace::emit(region.trace_id(), Stage::RegionDequeued, trace_arg::DEQ_LOCAL);
             return Some(region);
         }
-        if let Some(region) = self.pop_buffered(me) {
+        if let Some(region) = self.pop_buffered(me, me) {
             pyjama_trace::emit(
                 region.trace_id(),
                 Stage::RegionDequeued,
@@ -368,18 +403,18 @@ impl Inner {
     /// await barrier's helping); `false` when every source is dry.
     fn help(&self, me: usize) -> bool {
         let Some(region) = self.acquire(me) else { return false };
-        self.run(region);
-        self.stats.helped.inc();
+        self.run(me, region);
+        self.owned(me).helped.inc_owned();
         true
     }
 
-    /// Executes one region on behalf of the pool, then offers it back to
-    /// the region recycler — on the steady-state path (nothing pinning the
-    /// region) the next post reuses it instead of allocating.
-    fn run(&self, region: Arc<TargetRegion>) {
+    /// Member `me` executes one region on behalf of the pool, then offers
+    /// it back to the region recycler — on the steady-state path (nothing
+    /// pinning the region) the next post reuses it instead of allocating.
+    fn run(&self, me: usize, region: Arc<TargetRegion>) {
         // Counted before running: a waiter released by the region's
         // completion must never observe a snapshot missing this execution.
-        self.stats.executed.inc();
+        self.owned(me).executed.inc_owned();
         region.execute();
         crate::slab::release(region);
     }
@@ -412,7 +447,7 @@ impl Inner {
                 continue;
             }
             if let Some(region) = self.acquire(me) {
-                self.run(region);
+                self.run(me, region);
                 continue;
             }
             if self.shutdown.load(Ordering::SeqCst) {
@@ -423,7 +458,7 @@ impl Inner {
                 // wake_one to pick. Without this pass that region would be
                 // neither executed nor cancelled and its waiters would hang.
                 while let Some(region) = self.acquire(me) {
-                    self.run(region);
+                    self.run(me, region);
                 }
                 return;
             }
@@ -534,11 +569,13 @@ pub struct WorkerTarget {
 }
 
 impl WorkerTarget {
-    /// Zeroes this pool's counters (posted/executed/steal sources). Quiesce
-    /// the pool first for exact figures; increments racing the reset land on
-    /// either side of it.
+    /// Zeroes this pool's counters (posted/executed/steal sources) as
+    /// [`stats`](VirtualTarget::stats) reports them: records the current
+    /// totals as the baseline later reads subtract. Quiesce the pool first
+    /// for exact figures; each cell is read once, so an increment racing
+    /// the reset lands on either side of it.
     pub fn reset_stats(&self) {
-        self.inner.stats.reset();
+        *self.inner.baseline.lock() = self.inner.raw_stats();
     }
 
     /// Creates a worker target named `name` with `m` threads (Table II's
@@ -571,6 +608,7 @@ impl WorkerTarget {
                 signal: Arc::new(WakeSignal::new()),
                 parked: AtomicBool::new(false),
                 retired: AtomicBool::new(false),
+                counts: SlotCounters::default(),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -585,6 +623,7 @@ impl WorkerTarget {
             shutdown: AtomicBool::new(false),
             target_threads: AtomicUsize::new(m),
             stats: TargetCounters::default(),
+            baseline: Mutex::new(TargetStats::default()),
         });
         let threads = (0..capacity)
             .map(|i| {
@@ -785,7 +824,7 @@ impl VirtualTarget for WorkerTarget {
     }
 
     fn stats(&self) -> TargetStats {
-        self.inner.stats.snapshot()
+        self.inner.raw_stats().since(&self.inner.baseline.lock())
     }
 }
 

@@ -1,6 +1,6 @@
 //! Cross-crate smoke test of the model checker through the umbrella API:
 //! the core protocols explored deterministically, a fixed seed set, and
-//! the mutation-teeth guarantee (≥4 reintroduced bugs caught, failing
+//! the mutation-teeth guarantee (≥5 reintroduced bugs caught, failing
 //! schedules replayable). The full scenario matrix lives in
 //! `pyjama-check`'s own test suite; this is the tier-1 wiring check.
 
@@ -174,5 +174,15 @@ fn at_least_three_mutations_caught_and_replayable() {
         assert_eq!(replayed.message, fail.message);
     }
 
-    assert!(caught >= 4, "only {caught}/4 seeded mutations caught — checker lost its teeth");
+    if let Some(fail) = c.find_failure("parker-fast-path-on-clear", parker_scenario(Mutation::ParkerFastPathOnClearPermit)) {
+        caught += 1;
+        println!("caught parker fast-path mutation after {} schedules: {}", fail.schedules_explored, fail.message);
+        assert!(fail.message.contains("deadlock"), "lost wakeup must surface as deadlock");
+        let replayed = c
+            .replay("parker-fast-path-on-clear", &fail.schedule, parker_scenario(Mutation::ParkerFastPathOnClearPermit))
+            .expect("recorded schedule must reproduce the parker deadlock");
+        assert_eq!(replayed.message, fail.message);
+    }
+
+    assert!(caught >= 5, "only {caught}/5 seeded mutations caught — checker lost its teeth");
 }
